@@ -118,11 +118,14 @@ class VertexSet:
 class Graph:
     """Immutable simple undirected graph over vertices 0..n-1.
 
-    ``adj[v]`` is the open-neighbourhood bitmask of v.  Construction checks
-    symmetry, irreflexivity, and that all bits lie inside [0, n).
+    ``adj[v]`` is the open-neighbourhood bitmask of v.  The public
+    constructor checks symmetry, irreflexivity, and that all bits lie inside
+    [0, n).  Graphs derived from an already-valid graph (edge and vertex
+    edits, complement, induced subgraphs) skip that check, and
+    ``components`` is memoized per graph.
     """
 
-    __slots__ = ("n", "adj", "_full")
+    __slots__ = ("n", "adj", "_full", "_comps")
 
     def __init__(self, n: int, adj: Iterable[int]):
         adj = tuple(adj)
@@ -143,6 +146,17 @@ class Graph:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "adj", adj)
         object.__setattr__(self, "_full", full)
+        object.__setattr__(self, "_comps", None)
+
+    @classmethod
+    def _derived(cls, n: int, rows: Iterable[int]) -> "Graph":
+        """Unvalidated constructor for rows built from an already-valid graph."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "adj", tuple(rows))
+        object.__setattr__(g, "_full", (1 << n) - 1)
+        object.__setattr__(g, "_comps", None)
+        return g
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("Graph instances are immutable")
@@ -205,7 +219,7 @@ class Graph:
         rows = list(self.adj)
         rows[u] |= 1 << v
         rows[v] |= 1 << u
-        return Graph(self.n, rows)
+        return Graph._derived(self.n, rows)
 
     def remove_edge(self, u: int, v: int) -> "Graph":
         if not self.has_edge(u, v):
@@ -213,7 +227,7 @@ class Graph:
         rows = list(self.adj)
         rows[u] &= ~(1 << v)
         rows[v] &= ~(1 << u)
-        return Graph(self.n, rows)
+        return Graph._derived(self.n, rows)
 
     def add_vertex(self, neighbors: Iterable[int] = ()) -> "Graph":
         """Return the graph with one new vertex n joined to ``neighbors``."""
@@ -222,7 +236,7 @@ class Graph:
             raise ValueError("neighbour out of range")
         rows = [row | ((nb >> v & 1) << self.n) for v, row in enumerate(self.adj)]
         rows.append(nb)
-        return Graph(self.n + 1, rows)
+        return Graph._derived(self.n + 1, rows)
 
     def remove_vertex(self, v: int) -> "Graph":
         if not 0 <= v < self.n:
@@ -247,15 +261,19 @@ class Graph:
 def complement(g: Graph) -> Graph:
     """Complement graph: uv is an edge iff u != v and uv is not an edge of g."""
     full = g.full_mask
-    return Graph(g.n, (~row & full & ~(1 << v) for v, row in enumerate(g.adj)))
+    return Graph._derived(g.n, (~row & full & ~(1 << v) for v, row in enumerate(g.adj)))
 
 
-def components(g: Graph) -> list[tuple[VertexSet, Graph]]:
+def components(g: Graph) -> tuple[tuple[VertexSet, Graph], ...]:
     """Connected components as (original-vertex set, induced subgraph) pairs.
 
     Components are listed by ascending smallest vertex; inside each induced
     subgraph the vertices are reindexed 0..k-1 in ascending original order.
+    A connected graph is its own single component.  The result is memoized
+    on g.
     """
+    if g._comps is not None:
+        return g._comps
     seen = 0
     out = []
     for v in range(g.n):
@@ -271,8 +289,10 @@ def components(g: Graph) -> list[tuple[VertexSet, Graph]]:
             comp |= frontier
         seen |= comp
         vs = VertexSet(g.n, comp)
-        out.append((vs, induced_subgraph(g, vs)))
-    return out
+        out.append((vs, g if comp == g.full_mask else induced_subgraph(g, vs)))
+    comps = tuple(out)
+    object.__setattr__(g, "_comps", comps)
+    return comps
 
 
 def is_connected(g: Graph) -> bool:
@@ -291,7 +311,7 @@ def induced_subgraph(g: Graph, s: VertexSet) -> Graph:
         for u in _bits(g.adj[v] & s.mask):
             row |= 1 << index[u]
         rows.append(row)
-    return Graph(len(order), rows)
+    return Graph._derived(len(order), rows)
 
 
 # ---------------------------------------------------------------------------
@@ -305,6 +325,12 @@ def leaves(g: Graph) -> VertexSet:
 
 def leaf_mask(g: Graph) -> int:
     return _mask_of(v for v in range(g.n) if g.adj[v].bit_count() == 1)
+
+
+def supports_mask(g: Graph) -> int:
+    """Vertices adjacent to at least one leaf (weak and strong supports)."""
+    lm = leaf_mask(g)
+    return _mask_of(v for v in range(g.n) if g.adj[v] & lm)
 
 
 def weak_supports(g: Graph) -> VertexSet:

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .domination import DD2Pair, _certified, _dominates
-from .graphs import Graph, VertexSet, _bits, components, leaf_mask, min_degree
+from .graphs import Graph, VertexSet, _bits, components, leaf_mask, min_degree, supports_mask
 from .structure import closed_form
 
 ORACLE_BOUND_DEFAULT = 20
@@ -55,19 +55,17 @@ class SolveStats:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Search controls.  ``tie_break`` is fixed: lexicographically smallest
-    certificate among the optima, compared as sorted vertex lists."""
+    """Search controls.  They never change the answer: every solve returns
+    the lexicographically smallest certificate among the optima, compared as
+    sorted vertex lists."""
 
     use_reductions: bool = True
     use_closed_forms: bool = True
     node_limit: int | None = None
-    tie_break: str = "lex-smallest"
 
     def __post_init__(self) -> None:
         if self.node_limit is not None and self.node_limit <= 0:
             raise ValueError("node_limit must be positive")
-        if self.tie_break != "lex-smallest":
-            raise ValueError("only the lex-smallest tie break is supported")
 
 
 @dataclass(frozen=True)
@@ -398,15 +396,6 @@ class _Search:
         return chosen
 
 
-def _supports_mask(g: Graph) -> int:
-    lm = leaf_mask(g)
-    mask = 0
-    for v in range(g.n):
-        if g.adj[v] & lm:
-            mask |= 1 << v
-    return mask
-
-
 def _strong_leaf_trim(g: Graph) -> int:
     """Leaves adjacent to strong supports (safe to leave out of any certified set)."""
     lm = leaf_mask(g)
@@ -448,14 +437,13 @@ def _cer_component(
             value = hit[1]
             stats.closed_form_hits += 1
 
-    supports = _supports_mask(g) if cfg.use_reductions else 0
+    supports = supports_mask(g) if cfg.use_reductions else 0
     stats.forced_vertices += supports.bit_count()
     trim = _strong_leaf_trim(g)
     inc_mask = g.full_mask & ~trim
     inc_val = inc_mask.bit_count()
 
     search = _Search(g, certified=True, budget=budget)
-    proven = True
     if value is None:
         value_bound = None
         lm = leaf_mask(g)
@@ -498,7 +486,7 @@ def _cer_component(
         return inc_mask.bit_count(), inc_mask, False
     if cert is None:
         raise AssertionError("no certificate at the proven optimum; solver bug")
-    return value, cert, proven
+    return value, cert, True
 
 
 def _combine_components(
@@ -532,7 +520,8 @@ def gamma_cer_solve(g: Graph, cfg: SolverConfig | None = None) -> SolveResult:
     # A set of n-1 vertices is never certified: its lone outside vertex would
     # leave each of its dominators with exactly one outside neighbour.  Every
     # returned certificate is certified, so this holds even under node limits.
-    assert res.value != g.n - 1, "certified value n-1 is impossible"
+    if res.value == g.n - 1:
+        raise AssertionError("certified value n-1 is impossible; solver bug")
     return res
 
 

@@ -17,6 +17,7 @@ from .graphs import (
     complement,
     components,
     induced_subgraph,
+    is_connected,
     leaf_mask,
     strong_supports,
 )
@@ -102,7 +103,7 @@ def find_universal_vertex(g: Graph) -> int | None:
 def is_path(g: Graph) -> bool:
     """Connected path on >= 1 vertices (direct degree test)."""
     n = g.n
-    if n == 0 or not _connected(g):
+    if n == 0 or not is_connected(g):
         return False
     if n == 1:
         return True
@@ -111,7 +112,7 @@ def is_path(g: Graph) -> bool:
 
 
 def is_cycle(g: Graph) -> bool:
-    return g.n >= 3 and _connected(g) and all(d == 2 for d in g.degrees())
+    return g.n >= 3 and is_connected(g) and all(d == 2 for d in g.degrees())
 
 
 def is_complete(g: Graph) -> bool:
@@ -220,7 +221,7 @@ def closed_form(g: Graph) -> tuple[StructureClass, int] | None:
     cycle, wheel, corona) is reported.
     """
     n = g.n
-    if n == 0 or not _connected(g):
+    if n == 0 or not is_connected(g):
         return None
     if n >= 3:
         v = find_universal_vertex(g)
@@ -246,23 +247,6 @@ def closed_form(g: Graph) -> tuple[StructureClass, int] | None:
     if base is not None:
         return StructureClass("corona", n=n, base=base), n
     return None
-
-
-def _connected(g: Graph) -> bool:
-    if g.n <= 1:
-        return True
-    comp = 1
-    frontier = 1
-    while frontier:
-        nxt = 0
-        m = frontier
-        while m:
-            low = m & -m
-            m ^= low
-            nxt |= g.adj[low.bit_length() - 1]
-        frontier = nxt & ~comp
-        comp |= frontier
-    return comp == g.full_mask
 
 
 # ---------------------------------------------------------------------------

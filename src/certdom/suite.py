@@ -27,6 +27,8 @@ from .graphs import (
     leaf_mask,
     min_degree,
     parse_graph6_lines,
+    supports_mask,
+    weak_supports,
 )
 from .solver import (
     SolverConfig,
@@ -78,7 +80,7 @@ def enumerate_labeled_graphs(n: int, *, allow_large: bool = False) -> Iterator[G
             u, v = pairs[low.bit_length() - 1]
             rows[u] |= 1 << v
             rows[v] |= 1 << u
-        yield Graph(n, rows)
+        yield Graph._derived(n, rows)
 
 
 class SolveCache:
@@ -257,20 +259,11 @@ def _c_additive(g, cache):
 # Support facts and upper bounds
 # ---------------------------------------------------------------------------
 
-def _supports_mask(g: Graph) -> int:
-    lm = leaf_mask(g)
-    mask = 0
-    for v in range(g.n):
-        if g.adj[v] & lm:
-            mask |= 1 << v
-    return mask
-
-
 @_claim("OBS3.1", "every certified dominating set contains every support")
 def _c_supports(g, cache):
     if g.n < 1:
         return _NA
-    supports = _supports_mask(g)
+    supports = supports_mask(g)
     if g.n <= 12:
         for mask in range(1 << g.n):
             if supports & ~mask and _certified(g, mask):
@@ -290,11 +283,6 @@ def _bits_list(mask: int) -> list[int]:
         out.append(low.bit_length() - 1)
         mask ^= low
     return out
-
-
-def _weak_count(g: Graph) -> int:
-    lm = leaf_mask(g)
-    return sum(1 for v in range(g.n) if (g.adj[v] & lm).bit_count() == 1)
 
 
 def _strong_leaf_count(g: Graph) -> int:
@@ -325,7 +313,7 @@ def _c_bound_connected(g, cache):
     if g.n < 1 or len(components(g)) != 1:
         return _NA
     got = cache.gamma_cer(g)
-    bound = cache.gamma(g) + _weak_count(g)
+    bound = cache.gamma(g) + len(weak_supports(g))
     return _check(got <= bound, value=got, bound=bound)
 
 
@@ -334,7 +322,7 @@ def _c_bound_any(g, cache):
     if g.n < 1:
         return _NA
     got = cache.gamma_cer(g)
-    bound = cache.gamma(g) + _weak_count(g)
+    bound = cache.gamma(g) + len(weak_supports(g))
     return _check(got <= bound, value=got, bound=bound)
 
 
@@ -353,7 +341,7 @@ def _c_bound_double(g, cache):
 
 @_claim("COR4.1", "no weak supports: value equals gamma")
 def _c_eq_no_weak(g, cache):
-    if g.n < 1 or _weak_count(g) != 0:
+    if g.n < 1 or weak_supports(g):
         return _NA
     a, b = cache.gamma_cer(g), cache.gamma(g)
     return _check(a == b, gamma_cer=a, gamma=b)
@@ -594,7 +582,7 @@ def _c_ng_general(g, cache):
 
 @_claim("THM9.2", "min degree >= 1 and no weak supports: a pair with |D| = gamma exists")
 def _c_dd2(g, cache):
-    if g.n < 1 or min_degree(g) < 1 or _weak_count(g) != 0:
+    if g.n < 1 or min_degree(g) < 1 or weak_supports(g):
         return _NA
     pair = find_dd2_pair(g)
     if pair is None:

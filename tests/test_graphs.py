@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 
 from certdom import (
@@ -25,6 +27,7 @@ from certdom.families import (
     empty_graph,
     path_graph,
 )
+from certdom.graphs import supports_mask
 
 from conftest import random_graph, relabel
 
@@ -34,20 +37,23 @@ from conftest import random_graph, relabel
 # ---------------------------------------------------------------------------
 
 def test_graph_validates_symmetry():
-    with pytest.raises(ValueError, match="not symmetric"):
-        Graph(2, [0b10, 0b00])
+    for n, rows in [(2, [0b10, 0b00]), (3, [0b110, 0b001, 0b000])]:
+        with pytest.raises(ValueError, match="not symmetric"):
+            Graph(n, rows)
 
 
 def test_graph_rejects_self_loops():
-    with pytest.raises(ValueError, match="self-loop"):
-        Graph(1, [0b1])
+    for n, rows in [(1, [0b1]), (3, [0b010, 0b011, 0b000])]:
+        with pytest.raises(ValueError, match="self-loop"):
+            Graph(n, rows)
     with pytest.raises(ValueError, match="self-loop"):
         Graph.from_edges(2, [(1, 1)])
 
 
 def test_graph_rejects_out_of_range_bits():
-    with pytest.raises(ValueError, match="outside"):
-        Graph(1, [0b10])
+    for n, rows in [(1, [0b10]), (2, [0b110, 0b001]), (2, [-1, 0])]:
+        with pytest.raises(ValueError, match="outside"):
+            Graph(n, rows)
 
 
 def test_graph_edges_round_trip():
@@ -213,6 +219,41 @@ def test_components_partition(rng):
         assert total_edges == g.edge_count  # no edges between parts
 
 
+def test_derived_graphs_equal_validated_rebuild(rng):
+    for _ in range(60):
+        g = random_graph(rng.randrange(1, 9), rng.random(), rng)
+        derived = [complement(g), g.add_vertex(v for v in range(g.n) if rng.random() < 0.5)]
+        derived.append(g.remove_vertex(rng.randrange(g.n)))
+        derived.append(induced_subgraph(g, VertexSet(g.n, rng.getrandbits(g.n))))
+        derived.extend(comp for _, comp in components(g))
+        non_edges = complement(g).edges()
+        if non_edges:
+            derived.append(g.add_edge(*rng.choice(non_edges)))
+        if g.edges():
+            derived.append(g.remove_edge(*rng.choice(g.edges())))
+        for h in derived:
+            # the public constructor re-checks what the derived one skipped
+            assert h == Graph(h.n, h.adj)
+
+
+def test_components_memoized_and_connected_graph_is_its_own_part():
+    c6 = cycle_graph(6)
+    assert components(c6) is components(c6)
+    (vs, comp), = components(c6)
+    assert vs == VertexSet.full(6) and comp is c6
+    two = Graph.from_edges(4, [(0, 1), (2, 3)])
+    assert components(two) is components(two)
+    assert components(empty_graph(0)) == ()
+
+
+def test_pickle_round_trips_graph_with_memoized_components():
+    for g in (cycle_graph(5), Graph.from_edges(5, [(0, 1), (2, 3)])):
+        parts = components(g)
+        back = pickle.loads(pickle.dumps(g))
+        assert back == g and hash(back) == hash(g)
+        assert components(back) == parts
+
+
 def test_components_examples():
     two = Graph.from_edges(3, [(0, 1)])
     sizes = sorted(comp.n for _, comp in components(two))
@@ -261,6 +302,7 @@ def test_supports_disjoint_and_cover_leaves(rng):
         g = random_graph(rng.randrange(1, 9), 0.3, rng)
         weak, strong = weak_supports(g), strong_supports(g)
         assert not weak & strong
+        assert supports_mask(g) == (weak | strong).mask
         for v in leaves(g):
             s = support_of(g, v)
             assert s in weak or s in strong

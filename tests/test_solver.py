@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import certdom
 from certdom import (
     Graph,
     SizeLimitError,
@@ -147,6 +153,31 @@ def test_solver_value_never_n_minus_1(rng):
     for _ in range(200):
         g = random_graph(rng.randrange(0, 9), rng.random(), rng)
         assert gamma_cer_solve(g).value != g.n - 1
+
+
+_N_MINUS_1_SCRIPT = """
+from certdom import VertexSet, path_graph, solver
+
+if __debug__:
+    raise SystemExit("expected to run under python -O")
+solver._combine_components = lambda g, cfg, part: solver.SolveResult(
+    g.n - 1, VertexSet(g.n, 0))
+try:
+    solver.gamma_cer_solve(path_graph(3))
+except AssertionError as exc:
+    print(exc)
+else:
+    raise SystemExit("no error for a certified value of n - 1")
+"""
+
+
+def test_value_n_minus_1_check_survives_python_O():
+    src = str(Path(certdom.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-O", "-c", _N_MINUS_1_SCRIPT],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "n-1 is impossible" in proc.stdout
 
 
 # ---------------------------------------------------------------------------
