@@ -10,20 +10,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from .domination import as_mask
-from .graphs import (
-    Graph,
-    VertexSet,
-    complement,
-    is_connected,
-    leaf_mask,
-    min_degree,
-    strong_supports,
-    weak_supports,
-)
+from .domination import as_mask, equality_witness
+from .graphs import Graph, VertexSet, complement, is_connected, leaf_profile, min_degree
 from .solver import (
     ORACLE_BOUND_DEFAULT,
-    SizeLimitError,
     SolverConfig,
     all_min_dominating_sets,
     gamma_cer_solve,
@@ -90,23 +80,14 @@ class BoundReport:
         }
 
 
-def bound_report(
-    g: Graph,
-    cfg: SolverConfig | None = None,
-    *,
-    witness_max_n: int = ORACLE_BOUND_DEFAULT,
-) -> BoundReport:
+def bound_report(g: Graph, cfg: SolverConfig | None = None) -> BoundReport:
     """Evaluate every general upper bound with exact values."""
     gamma = gamma_solve(g, cfg).value
     gamma_cer = gamma_cer_solve(g, cfg).value
-    s1 = len(weak_supports(g))
-    s2 = len(strong_supports(g))
-    lm = leaf_mask(g)
-    k = sum(
-        1
-        for v in range(g.n)
-        if lm >> v & 1 and (g.adj[g.adj[v].bit_length() - 1] & lm).bit_count() >= 2
-    )
+    prof = leaf_profile(g)
+    s1 = prof.weak.bit_count()
+    s2 = prof.strong.bit_count()
+    k = prof.strong_leaves.bit_count()
     bounds = (
         BoundCheck("gamma_le_gamma_cer", gamma, gamma_cer),
         BoundCheck("gamma_cer_le_n", gamma_cer, g.n),
@@ -116,9 +97,10 @@ def bound_report(
         BoundCheck("twice_gamma", gamma_cer, 2 * gamma),
     )
     witness = None
-    searched = g.n <= witness_max_n
+    searched = g.n <= ORACLE_BOUND_DEFAULT
     if searched:
-        witness = _equality_witness(g, witness_max_n)
+        mask = equality_witness(g, (d.mask for d in all_min_dominating_sets(g)))
+        witness = None if mask is None else VertexSet(g.n, mask)
     return BoundReport(
         n=g.n,
         gamma=gamma,
@@ -131,24 +113,6 @@ def bound_report(
         equality_witness=witness,
         witness_searched=searched,
     )
-
-
-def _equality_witness(g: Graph, max_n: int) -> Optional[VertexSet]:
-    """First leaf-free minimum dominating set leaving every weak support a
-    non-leaf neighbour outside the set, or None.
-
-    Such a set exists iff the domination and certified domination numbers
-    agree.  Leaf-freeness is essential: leaf-heavy gamma-sets can satisfy the
-    slack condition on graphs where the two numbers differ.
-    """
-    lm = leaf_mask(g)
-    weak = weak_supports(g).to_list()
-    for d in all_min_dominating_sets(g, max_n=max_n):
-        if d.mask & lm:
-            continue
-        if all(g.adj[s] & ~lm & ~d.mask for s in weak):
-            return d
-    return None
 
 
 # ---------------------------------------------------------------------------

@@ -169,8 +169,10 @@ def _cmd_analyze(args) -> int:
         _emit(bound_report(g).to_json_obj())
     elif args.report == "edges":
         if args.edge is not None:
-            u, v = _parse_vertex_list(args.edge)
-            _emit(edge_effects(g, (u, v)).to_json_obj())
+            edge = _parse_vertex_list(args.edge)
+            if len(edge) != 2:
+                raise ValueError(f"--edge expects two vertices U,V, got {args.edge!r}")
+            _emit(edge_effects(g, tuple(edge)).to_json_obj())
         else:
             _emit(edge_effects(g, "all-deletions").to_json_obj())
             _emit(edge_effects(g, "all-additions").to_json_obj())

@@ -1,9 +1,10 @@
 """Domination predicates over (graph, vertex set) pairs.
 
 All predicates are pure and total: they accept any subset of the vertex set
-(given as a VertexSet or any iterable of vertex indices) and never cache
-anything on the graph.  The zero-vertex graph is handled everywhere; its
-empty set is vacuously dominating, certified, and 2-dominating.
+(given as a VertexSet or any iterable of vertex indices) and cache nothing
+on the graph beyond its leaf profile.  The zero-vertex graph is handled
+everywhere; its empty set is vacuously dominating, certified, and
+2-dominating.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import enum
 from dataclasses import dataclass
 from typing import Iterable, Union
 
-from .graphs import Graph, VertexSet, _bits, _mask_of
+from .graphs import Graph, VertexSet, _bits, leaf_profile
 
 SetLike = Union[VertexSet, Iterable[int]]
 
@@ -37,10 +38,7 @@ def as_mask(g: Graph, s: SetLike) -> int:
         if s.n != g.n:
             raise ValueError("vertex set belongs to a different graph")
         return s.mask
-    m = _mask_of(s)
-    if m >> g.n:
-        raise ValueError(f"vertex out of range [0, {g.n})")
-    return m
+    return VertexSet.of(g.n, s).mask
 
 
 def _dominates(g: Graph, mask: int) -> bool:
@@ -110,6 +108,25 @@ def is_minimal_dominating(g: Graph, d: SetLike) -> bool:
         if _dominates(g, mask & ~(1 << v)):
             return False
     return True
+
+
+def equality_witness(g: Graph, min_dom_masks: Iterable[int]) -> int | None:
+    """First of ``min_dom_masks`` that is leaf-free and leaves every weak
+    support a non-leaf neighbour outside the set, or None.
+
+    Given every minimum dominating set, such a set exists iff the domination
+    and certified domination numbers agree.  Leaf-freeness is essential:
+    minimum certified dominating sets never contain a leaf, and leaf-heavy
+    gamma-sets (e.g. both ends of a 4-path) satisfy the slack condition
+    without certifying anything.
+    """
+    prof = leaf_profile(g)
+    lm = prof.leaves
+    weak = list(_bits(prof.weak))
+    for mask in min_dom_masks:
+        if not mask & lm and all(g.adj[s] & ~lm & ~mask for s in weak):
+            return mask
+    return None
 
 
 @dataclass(frozen=True)

@@ -7,13 +7,15 @@ the exact solver targets (n up to a few hundred works, although the solver is
 meant for n <= ~40).
 
 The module also carries the degree/leaf/support vocabulary used throughout
-the package: leaves, weak and strong supports, and the leaf<->support maps.
+the package: ``leaf_profile`` computes leaves, weak and strong supports and
+the leaves on strong supports once per graph, and every other leaf or
+support query reads from it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 
 class GraphParseError(ValueError):
@@ -122,10 +124,10 @@ class Graph:
     constructor checks symmetry, irreflexivity, and that all bits lie inside
     [0, n).  Graphs derived from an already-valid graph (edge and vertex
     edits, complement, induced subgraphs) skip that check, and
-    ``components`` is memoized per graph.
+    ``components`` and ``leaf_profile`` are memoized per graph.
     """
 
-    __slots__ = ("n", "adj", "_full", "_comps")
+    __slots__ = ("n", "adj", "_full", "_comps", "_leaves")
 
     def __init__(self, n: int, adj: Iterable[int]):
         adj = tuple(adj)
@@ -147,6 +149,7 @@ class Graph:
         object.__setattr__(self, "adj", adj)
         object.__setattr__(self, "_full", full)
         object.__setattr__(self, "_comps", None)
+        object.__setattr__(self, "_leaves", None)
 
     @classmethod
     def _derived(cls, n: int, rows: Iterable[int]) -> "Graph":
@@ -156,6 +159,7 @@ class Graph:
         object.__setattr__(g, "adj", tuple(rows))
         object.__setattr__(g, "_full", (1 << n) - 1)
         object.__setattr__(g, "_comps", None)
+        object.__setattr__(g, "_leaves", None)
         return g
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
@@ -318,35 +322,55 @@ def induced_subgraph(g: Graph, s: VertexSet) -> Graph:
 # Leaves and supports
 # ---------------------------------------------------------------------------
 
+class LeafProfile(NamedTuple):
+    """Bitmasks of the leaf/support vocabulary of one graph."""
+
+    leaves: int  # degree-one vertices
+    weak: int  # S1: exactly one leaf neighbour
+    strong: int  # S2: at least two leaf neighbours
+    strong_leaves: int  # leaves whose support is in S2
+
+
+def leaf_profile(g: Graph) -> LeafProfile:
+    """Leaves, weak and strong supports, and strong-support leaves; memoized on g."""
+    if g._leaves is not None:
+        return g._leaves
+    leaf = once = twice = 0
+    for v, row in enumerate(g.adj):
+        if row and not row & (row - 1):
+            # a leaf's row is the single bit of its support
+            leaf |= 1 << v
+            twice |= once & row
+            once |= row
+    strong_leaves = _mask_of(v for v in _bits(leaf) if g.adj[v] & twice)
+    prof = LeafProfile(leaf, once & ~twice, twice, strong_leaves)
+    object.__setattr__(g, "_leaves", prof)
+    return prof
+
+
 def leaves(g: Graph) -> VertexSet:
     """Vertices of degree one."""
-    return VertexSet(g.n, _mask_of(v for v in range(g.n) if g.degree(v) == 1))
+    return VertexSet(g.n, leaf_profile(g).leaves)
 
 
 def leaf_mask(g: Graph) -> int:
-    return _mask_of(v for v in range(g.n) if g.adj[v].bit_count() == 1)
+    return leaf_profile(g).leaves
 
 
 def supports_mask(g: Graph) -> int:
     """Vertices adjacent to at least one leaf (weak and strong supports)."""
-    lm = leaf_mask(g)
-    return _mask_of(v for v in range(g.n) if g.adj[v] & lm)
+    prof = leaf_profile(g)
+    return prof.weak | prof.strong
 
 
 def weak_supports(g: Graph) -> VertexSet:
     """Vertices adjacent to exactly one leaf."""
-    lm = leaf_mask(g)
-    return VertexSet(
-        g.n, _mask_of(v for v in range(g.n) if (g.adj[v] & lm).bit_count() == 1)
-    )
+    return VertexSet(g.n, leaf_profile(g).weak)
 
 
 def strong_supports(g: Graph) -> VertexSet:
     """Vertices adjacent to at least two leaves."""
-    lm = leaf_mask(g)
-    return VertexSet(
-        g.n, _mask_of(v for v in range(g.n) if (g.adj[v] & lm).bit_count() >= 2)
-    )
+    return VertexSet(g.n, leaf_profile(g).strong)
 
 
 def support_of(g: Graph, leaf: int) -> int:

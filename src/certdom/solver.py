@@ -26,8 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .domination import DD2Pair, _certified, _dominates
-from .graphs import Graph, VertexSet, _bits, components, leaf_mask, min_degree, supports_mask
+from .domination import DD2Pair, _certified, _dominates, is_2dominating
+from .graphs import Graph, VertexSet, _bits, components, leaf_profile, min_degree, supports_mask
 from .structure import closed_form
 
 ORACLE_BOUND_DEFAULT = 20
@@ -396,20 +396,6 @@ class _Search:
         return chosen
 
 
-def _strong_leaf_trim(g: Graph) -> int:
-    """Leaves adjacent to strong supports (safe to leave out of any certified set)."""
-    lm = leaf_mask(g)
-    trim = 0
-    m = lm
-    while m:
-        low = m & -m
-        m ^= low
-        support = g.adj[low.bit_length() - 1]
-        if (g.adj[support.bit_length() - 1] & lm).bit_count() >= 2:
-            trim |= low
-    return trim
-
-
 def _plain_component_value(
     g: Graph, budget: _Budget, forbid: int = 0
 ) -> tuple[int, int]:
@@ -437,36 +423,33 @@ def _cer_component(
             value = hit[1]
             stats.closed_form_hits += 1
 
+    prof = leaf_profile(g)
     supports = supports_mask(g) if cfg.use_reductions else 0
     stats.forced_vertices += supports.bit_count()
-    trim = _strong_leaf_trim(g)
-    inc_mask = g.full_mask & ~trim
+    # leaves on strong supports are safe to leave out of any certified set
+    inc_mask = g.full_mask & ~prof.strong_leaves
     inc_val = inc_mask.bit_count()
 
     search = _Search(g, certified=True, budget=budget)
     if value is None:
         value_bound = None
-        lm = leaf_mask(g)
         if cfg.use_reductions and n >= 3:
             # Plain-domination solve restricted to non-leaves: its optimum is
             # the true domination number and, repaired, a strong incumbent.
             try:
-                gamma, d0 = _plain_component_value(g, budget, forbid=lm)
+                gamma, d0 = _plain_component_value(g, budget, forbid=prof.leaves)
             except _NodeLimit:
                 gamma = d0 = None
             if gamma is not None:
-                s1 = sum(
-                    1 for v in range(n) if (g.adj[v] & lm).bit_count() == 1
-                )
-                value_bound = min(gamma + s1, 2 * gamma, inc_val)
+                value_bound = min(gamma + prof.weak.bit_count(), 2 * gamma, inc_val)
                 if _certified(g, d0):
                     value = gamma  # gamma_cer >= gamma always, so this is optimal
                 else:
                     d1 = d0
                     for s in _bits(d0):
                         out_nbrs = g.adj[s] & ~d0
-                        if out_nbrs.bit_count() == 1 and (g.adj[s] & lm).bit_count() == 1:
-                            d1 |= g.adj[s] & lm
+                        if out_nbrs.bit_count() == 1 and prof.weak >> s & 1:
+                            d1 |= g.adj[s] & prof.leaves
                     if _certified(g, d1) and d1.bit_count() < inc_val:
                         inc_val = d1.bit_count()
                         inc_mask = d1
@@ -572,13 +555,10 @@ def find_dd2_pair(
     n = g.n
     if n == 0:
         return DD2Pair(VertexSet(0, 0), VertexSet(0, 0))
-    lm = leaf_mask(g)
-    if min_degree(g) >= 1 and not any(
-        (g.adj[v] & lm).bit_count() == 1 for v in range(n)
-    ):
+    if min_degree(g) >= 1 and not leaf_profile(g).weak:
         res = gamma_cer_solve(g)
         pair = DD2Pair(res.certificate, res.certificate.complement())
-        if _dominates(g, pair.d.mask) and _is_2dom_mask(g, pair.d2.mask):
+        if _dominates(g, pair.d.mask) and is_2dominating(g, pair.d2):
             return None if max_d_size is not None and res.value > max_d_size else pair
     if n > max_n:
         raise SizeLimitError(
@@ -607,13 +587,3 @@ def find_dd2_pair(
             if ok:
                 return DD2Pair(VertexSet(n, mask), VertexSet(n, full & ~mask))
     return None
-
-
-def _is_2dom_mask(g: Graph, mask: int) -> bool:
-    m = g.full_mask & ~mask
-    while m:
-        low = m & -m
-        m ^= low
-        if (g.adj[low.bit_length() - 1] & mask).bit_count() < 2:
-            return False
-    return True

@@ -14,12 +14,12 @@ from dataclasses import dataclass
 from .graphs import (
     Graph,
     VertexSet,
+    _bits,
     complement,
     components,
     induced_subgraph,
     is_connected,
-    leaf_mask,
-    strong_supports,
+    leaf_profile,
 )
 
 
@@ -163,20 +163,15 @@ def recognize_corona(g: Graph) -> VertexSet | None:
         if comp.n == 2:
             base |= 1 << order[0]
             continue
-        lm = leaf_mask(comp)
-        nonleaf = comp.full_mask & ~lm
-        if 2 * lm.bit_count() != comp.n:
+        # In a connected graph on >= 3 vertices no leaf is a support, so this
+        # says each non-leaf has exactly one leaf neighbour, which also makes
+        # leaves and non-leaves equinumerous.
+        prof = leaf_profile(comp)
+        nonleaf = comp.full_mask & ~prof.leaves
+        if prof.weak != nonleaf:
             return None
-        ok = all(
-            (comp.adj[v] & lm).bit_count() == 1
-            for v in range(comp.n)
-            if not lm >> v & 1
-        )
-        if not ok:
-            return None
-        for v in range(comp.n):
-            if nonleaf >> v & 1:
-                base |= 1 << order[v]
+        for v in _bits(nonleaf):
+            base |= 1 << order[v]
     return VertexSet(g.n, base)
 
 
@@ -187,11 +182,11 @@ def recognize_diadem(g: Graph) -> tuple[VertexSet, int] | None:
     neighbours, and removing either of those leaves yields a corona whose
     base can be chosen to contain s.
     """
-    strong = strong_supports(g).to_list()
-    if len(strong) != 1:
+    prof = leaf_profile(g)
+    if prof.strong.bit_count() != 1:
         return None
-    s = strong[0]
-    leaf_nbrs = g.adj[s] & leaf_mask(g)
+    s = prof.strong.bit_length() - 1
+    leaf_nbrs = prof.strong_leaves
     if leaf_nbrs.bit_count() != 2:
         return None
     drop = leaf_nbrs & -leaf_nbrs

@@ -17,21 +17,21 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Callable, Iterable, Iterator, Optional
 
-from .domination import _certified, is_dd2_pair
+from .domination import _certified, equality_witness, is_dd2_pair
 from .graphs import (
     Graph,
     VertexSet,
+    _bits,
     complement,
     components,
     encode_graph6,
-    leaf_mask,
+    leaf_profile,
     min_degree,
     parse_graph6_lines,
     supports_mask,
     weak_supports,
 )
 from .solver import (
-    SolverConfig,
     all_min_dominating_sets,
     find_dd2_pair,
     gamma_cer_solve,
@@ -55,6 +55,9 @@ from .structure import (
 )
 
 ENUMERATION_CAP = 7
+
+# each SolveCache store is dropped whole when it reaches this many entries
+CACHE_MAX_ENTRIES = 400_000
 
 
 def enumerate_labeled_graphs(n: int, *, allow_large: bool = False) -> Iterator[Graph]:
@@ -87,19 +90,18 @@ class SolveCache:
     """Memoized solver values keyed by the labeled adjacency.
 
     Shared by all claims in a run so edge/complement sweeps at a fixed n
-    collapse to dictionary lookups.  ``max_entries`` caps memory; the cache
-    is simply dropped when the cap is hit.
+    collapse to dictionary lookups.  Solves use the default ``SolverConfig``;
+    ``CACHE_MAX_ENTRIES`` caps memory.
     """
 
-    def __init__(self, cfg: SolverConfig | None = None, max_entries: int = 400_000):
-        self.cfg = cfg or SolverConfig()
-        self.max_entries = max_entries
+    def __init__(self):
         self._cer: dict = {}
         self._gam: dict = {}
         self._mds: dict = {}
 
-    def _room(self, store: dict) -> None:
-        if len(store) >= self.max_entries:
+    @staticmethod
+    def _room(store: dict) -> None:
+        if len(store) >= CACHE_MAX_ENTRIES:
             store.clear()
 
     def gamma_cer(self, g: Graph) -> int:
@@ -112,7 +114,7 @@ class SolveCache:
         key = (g.n, g.adj)
         got = self._cer.get(key)
         if got is None:
-            res = gamma_cer_solve(g, self.cfg)
+            res = gamma_cer_solve(g)
             got = (res.value, res.certificate.mask)
             self._room(self._cer)
             self._cer[key] = got
@@ -122,7 +124,7 @@ class SolveCache:
         key = (g.n, g.adj)
         got = self._gam.get(key)
         if got is None:
-            got = gamma_solve(g, self.cfg).value
+            got = gamma_solve(g).value
             self._room(self._gam)
             self._gam[key] = got
         return got
@@ -267,33 +269,13 @@ def _c_supports(g, cache):
     if g.n <= 12:
         for mask in range(1 << g.n):
             if supports & ~mask and _certified(g, mask):
-                return _fail(certified_set=_bits_list(mask),
-                             missing_support=_bits_list(supports & ~mask))
+                return _fail(certified_set=list(_bits(mask)),
+                             missing_support=list(_bits(supports & ~mask)))
         return _OK
     cert = cache.gamma_cer_cert(g)
     return _check(supports & ~cert.mask == 0,
                   certificate=cert.to_list(),
-                  missing_support=_bits_list(supports & ~cert.mask))
-
-
-def _bits_list(mask: int) -> list[int]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
-def _strong_leaf_count(g: Graph) -> int:
-    lm = leaf_mask(g)
-    k = 0
-    for v in range(g.n):
-        if lm >> v & 1:
-            support = g.adj[v].bit_length() - 1
-            if (g.adj[support] & lm).bit_count() >= 2:
-                k += 1
-    return k
+                  missing_support=list(_bits(supports & ~cert.mask)))
 
 
 @_claim("OBS3.2", "value <= n - (leaves on strong supports), <= n - 2|S2|")
@@ -301,9 +283,9 @@ def _c_strong_trim(g, cache):
     if g.n < 1:
         return _NA
     got = cache.gamma_cer(g)
-    k = _strong_leaf_count(g)
-    lm = leaf_mask(g)
-    s2 = sum(1 for v in range(g.n) if (g.adj[v] & lm).bit_count() >= 2)
+    prof = leaf_profile(g)
+    k = prof.strong_leaves.bit_count()
+    s2 = prof.strong.bit_count()
     return _check(got <= g.n - k and got <= g.n - 2 * s2,
                   value=got, leaf_trim=g.n - k, strong_trim=g.n - 2 * s2)
 
@@ -355,20 +337,6 @@ def _c_eq_min_degree(g, cache):
     return _check(a == b, gamma_cer=a, gamma=b)
 
 
-def _equality_witness_exists(g: Graph, cache: SolveCache) -> bool:
-    # The witness must avoid leaves: minimum certified dominating sets never
-    # contain one, and leaf-heavy gamma-sets (e.g. both ends of a 4-path)
-    # satisfy the slack condition without certifying anything.
-    lm = leaf_mask(g)
-    weak = [v for v in range(g.n) if (g.adj[v] & lm).bit_count() == 1]
-    for mask in cache.min_dom_masks(g):
-        if mask & lm:
-            continue
-        if all(g.adj[s] & ~lm & ~mask for s in weak):
-            return True
-    return False
-
-
 # the witness claims enumerate every minimum dominating set, so they only
 # apply up to a size where that enumeration stays reasonable
 _WITNESS_N_CAP = 16
@@ -379,7 +347,7 @@ def _c_eq_witness_connected(g, cache):
     if not 3 <= g.n <= _WITNESS_N_CAP or len(components(g)) != 1:
         return _NA
     eq = cache.gamma_cer(g) == cache.gamma(g)
-    wit = _equality_witness_exists(g, cache)
+    wit = equality_witness(g, cache.min_dom_masks(g)) is not None
     return _check(eq == wit, equality=eq, witness_exists=wit)
 
 
@@ -388,7 +356,7 @@ def _c_eq_witness(g, cache):
     if not 1 <= g.n <= _WITNESS_N_CAP:
         return _NA
     eq = cache.gamma_cer(g) == cache.gamma(g)
-    wit = _equality_witness_exists(g, cache)
+    wit = equality_witness(g, cache.min_dom_masks(g)) is not None
     return _check(eq == wit, equality=eq, witness_exists=wit)
 
 
@@ -447,26 +415,23 @@ def _c_shadow_structure(g, cache):
     if g.n < 2 or len(components(g)) != 1:
         return _NA
     cert = cache.gamma_cer_cert(g).mask
-    lm = leaf_mask(g)
-    weak = 0
-    for v in range(g.n):
-        if (g.adj[v] & lm).bit_count() == 1:
-            weak |= 1 << v
+    prof = leaf_profile(g)
+    lm, weak = prof.leaves, prof.weak
     shadowed = 0
-    for v in _bits_list(cert):
+    for v in _bits(cert):
         if g.adj[v] & ~cert == 0:
             shadowed |= 1 << v
             if not (weak | lm) >> v & 1:
-                return _fail(vertex=v, certificate=_bits_list(cert))
+                return _fail(vertex=v, certificate=list(_bits(cert)))
     # shadowed weak supports neighbour only illuminated vertices or each other
-    for s in _bits_list(shadowed & weak):
-        for w in _bits_list(g.adj[s] & ~lm):
+    for s in _bits(shadowed & weak):
+        for w in _bits(g.adj[s] & ~lm):
             outside = (g.adj[w] & ~cert).bit_count()
             if outside >= 2:
                 continue
             if outside == 0 and (shadowed & weak) >> w & 1:
                 continue
-            return _fail(weak_support=s, neighbour=w, certificate=_bits_list(cert))
+            return _fail(weak_support=s, neighbour=w, certificate=list(_bits(cert)))
     return _OK
 
 
@@ -529,17 +494,6 @@ def _c_ng_small(g, cache):
     return _check(pair in want, pair=list(pair), allowed=sorted(want))
 
 
-def _all_value_n_with_isolated(h: Graph) -> bool:
-    """Every component an isolated vertex or corona, with >= 1 isolated vertex."""
-    has_iso = False
-    for _, comp in components(h):
-        if comp.n == 1:
-            has_iso = True
-        elif recognize_corona(comp) is None:
-            return False
-    return has_iso
-
-
 @_claim("THM7.4", "an isolated vertex on either side (n >= 3): bounds and tightness")
 def _c_ng_isolated(g, cache):
     if g.n < 3:
@@ -550,7 +504,11 @@ def _c_ng_isolated(g, cache):
     a, b = cache.gamma_cer(g), cache.gamma_cer(gbar)
     s, p = a + b, a * b
     n = g.n
-    structural = _all_value_n_with_isolated(g) or _all_value_n_with_isolated(gbar)
+    # extremal: one side has an isolated vertex and every component of that
+    # side is an isolated vertex or a corona
+    structural = any(
+        min_degree(h) == 0 and check_gamma_cer_equals_n(h) for h in (g, gbar)
+    )
     ok = (
         s <= n + 1
         and p <= n
@@ -613,6 +571,8 @@ class SuiteConfig:
     def __post_init__(self) -> None:
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
+        if self.n_max < 0:
+            raise ValueError(f"n_max must be non-negative, got {self.n_max}")
         if self.graph6_file is None and self.n_max > ENUMERATION_CAP and not self.allow_large:
             raise ValueError(
                 f"n_max {self.n_max} exceeds the internal enumeration cap "

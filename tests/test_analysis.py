@@ -22,6 +22,7 @@ from certdom import (
     vertex_effects,
     wheel_graph,
 )
+from certdom.suite import enumerate_labeled_graphs
 
 
 def test_bound_report_c7():
@@ -54,6 +55,14 @@ def test_bound_report_skips_witness_search_above_the_size_bound():
     assert not r.witness_searched and r.equality_witness is None
     assert r.gamma == r.gamma_cer == 9
     assert all(b.holds for b in r.bounds)
+
+
+def test_bound_report_witness_exists_exactly_at_equality_up_to_order_5():
+    for n in range(6):
+        for g in enumerate_labeled_graphs(n):
+            r = bound_report(g)
+            assert r.witness_searched
+            assert (r.equality_witness is not None) == (r.gamma == r.gamma_cer), g
 
 
 def test_bound_report_serializes_with_stable_keys():

@@ -1,9 +1,17 @@
 import json
+from pathlib import Path
 
 import pytest
 
-from certdom import encode_graph6, fig3a_graph, path_graph
+from certdom import build_family, encode_graph6, fig3a_graph, parse_family_spec, path_graph
 from certdom.cli import main
+
+# family spec -> its exact `analyze --report bounds` output line
+_BOUNDS_GOLDEN = [
+    line.split("\t")
+    for line in (Path(__file__).parent / "data" / "analyze_bounds_golden.tsv")
+    .read_text().splitlines()
+]
 
 
 def run_cli(capsys, *argv, stdin=None, monkeypatch=None):
@@ -89,6 +97,17 @@ def test_analyze_bounds(capsys, monkeypatch):
     assert code == 0
     obj = json.loads(out)
     assert obj["gamma"] == 2 and obj["gamma_cer"] == 4
+
+
+@pytest.mark.parametrize("spec,want", _BOUNDS_GOLDEN, ids=[s for s, _ in _BOUNDS_GOLDEN])
+def test_analyze_bounds_golden(capsys, monkeypatch, spec, want):
+    g6 = encode_graph6(build_family(parse_family_spec(spec)))
+    code, out, _ = run_cli(
+        capsys, "analyze", "-", "--report", "bounds",
+        stdin=g6 + "\n", monkeypatch=monkeypatch,
+    )
+    assert code == 0
+    assert out == want + "\n"
 
 
 def test_analyze_ng_four_vertices(capsys, monkeypatch):
@@ -209,6 +228,30 @@ def test_bad_input_is_usage_error(capsys, monkeypatch):
         capsys, "solve", "-", stdin="not a graph!!\n", monkeypatch=monkeypatch
     )
     assert code == 2 and "error:" in err
+
+
+def test_suite_negative_n_max_is_usage_error(capsys):
+    code, out, err = run_cli(capsys, "suite", "--n-max", "-1")
+    assert code == 2 and out == ""
+    assert "n_max must be non-negative" in err
+
+
+def test_vertex_addition_out_of_range_neighbour_is_usage_error(capsys, monkeypatch):
+    code, _, err = run_cli(
+        capsys, "analyze", "-", "--report", "vertices", "--add-neighbours", "-1",
+        stdin="n 4\n0 1\n1 2\n2 3\n", monkeypatch=monkeypatch,
+    )
+    assert code == 2
+    assert "error: vertex -1 out of range [0, 4)" in err
+
+
+def test_edge_with_three_vertices_is_usage_error(capsys, monkeypatch):
+    code, _, err = run_cli(
+        capsys, "analyze", "-", "--report", "edges", "--edge", "0,1,2",
+        stdin="n 4\n0 1\n1 2\n2 3\n", monkeypatch=monkeypatch,
+    )
+    assert code == 2
+    assert "--edge expects two vertices" in err and "'0,1,2'" in err
 
 
 def test_missing_file_is_usage_error(capsys):

@@ -27,7 +27,7 @@ from certdom.families import (
     empty_graph,
     path_graph,
 )
-from certdom.graphs import supports_mask
+from certdom.graphs import leaf_profile, supports_mask
 
 from conftest import random_graph, relabel
 
@@ -306,3 +306,49 @@ def test_supports_disjoint_and_cover_leaves(rng):
         for v in leaves(g):
             s = support_of(g, v)
             assert s in weak or s in strong
+
+
+def _with_small_parts(g: Graph, k2: bool, isolated: bool) -> Graph:
+    """g plus, optionally, a disjoint K2 and a disjoint isolated vertex."""
+    edges = g.edges()
+    n = g.n
+    if k2:
+        edges.append((n, n + 1))
+        n += 2
+    return Graph.from_edges(n + isolated, edges)
+
+
+def test_leaf_profile_matches_degree_definitions(rng):
+    for _ in range(200):
+        base = random_graph(rng.randrange(0, 8), rng.choice([0.15, 0.3, 0.5]), rng)
+        g = _with_small_parts(base, rng.random() < 0.4, rng.random() < 0.4)
+        n = g.n
+        deg = [sum(g.has_edge(v, u) for u in range(n)) for v in range(n)]
+        leaf_set = [v for v in range(n) if deg[v] == 1]
+        leaf_nbrs = [sum(g.has_edge(v, u) for u in leaf_set) for v in range(n)]
+
+        def mask(vs):
+            return sum(1 << v for v in vs)
+
+        strong = [v for v in range(n) if leaf_nbrs[v] >= 2]
+        prof = leaf_profile(g)
+        assert prof.leaves == mask(leaf_set)
+        assert prof.weak == mask(v for v in range(n) if leaf_nbrs[v] == 1)
+        assert prof.strong == mask(strong)
+        assert prof.strong_leaves == mask(
+            v for v in leaf_set if any(g.has_edge(v, s) for s in strong)
+        )
+        assert leaf_profile(g) is prof
+
+
+def test_leaf_profile_of_k2_and_isolated_vertex():
+    prof = leaf_profile(Graph.from_edges(3, [(0, 1)]))
+    # each end of K2 is a leaf and the weak support of the other end
+    assert (prof.leaves, prof.weak, prof.strong, prof.strong_leaves) == (0b11, 0b11, 0, 0)
+
+
+def test_pickle_round_trips_graph_with_memoized_leaf_profile():
+    for g in (complete_bipartite_graph(1, 3), path_graph(4), Graph.from_edges(5, [(0, 1)])):
+        prof = leaf_profile(g)
+        back = pickle.loads(pickle.dumps(g))
+        assert back == g and leaf_profile(back) == prof
