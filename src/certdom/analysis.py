@@ -12,13 +12,7 @@ from typing import Iterable, Optional
 
 from .domination import as_mask, equality_witness
 from .graphs import Graph, VertexSet, complement, is_connected, leaf_profile, min_degree
-from .solver import (
-    ORACLE_BOUND_DEFAULT,
-    SolverConfig,
-    all_min_dominating_sets,
-    gamma_cer_solve,
-    gamma_solve,
-)
+from .solver import ORACLE_BOUND_DEFAULT, all_min_dominating_sets, gamma_cer_solve
 from .structure import recognize_corona
 
 
@@ -80,10 +74,10 @@ class BoundReport:
         }
 
 
-def bound_report(g: Graph, cfg: SolverConfig | None = None) -> BoundReport:
+def bound_report(g: Graph) -> BoundReport:
     """Evaluate every general upper bound with exact values."""
-    gamma = gamma_solve(g, cfg).value
-    gamma_cer = gamma_cer_solve(g, cfg).value
+    res = gamma_cer_solve(g)
+    gamma, gamma_cer = res.gamma, res.value
     prof = leaf_profile(g)
     s1 = prof.weak.bit_count()
     s2 = prof.strong.bit_count()
@@ -163,7 +157,6 @@ class ModificationReport:
 def edge_effects(
     g: Graph,
     scope: str | tuple[int, int] = "all-deletions",
-    cfg: SolverConfig | None = None,
 ) -> ModificationReport:
     """Exact certified domination numbers of single-edge modifications.
 
@@ -173,7 +166,7 @@ def edge_effects(
     new <= base; violations are flagged.  Additions to disconnected graphs
     carry no bound (they can lift the value arbitrarily).
     """
-    base = gamma_cer_solve(g, cfg).value
+    base = gamma_cer_solve(g).value
     connected = is_connected(g)
     if isinstance(scope, tuple):
         u, v = scope
@@ -197,12 +190,12 @@ def edge_effects(
     records = []
     for u, v in pairs:
         if g.has_edge(u, v):
-            new = gamma_cer_solve(g.remove_edge(u, v), cfg).value
+            new = gamma_cer_solve(g.remove_edge(u, v)).value
             records.append(
                 ModificationRecord("edge-del", (u, v), new, new - base)
             )
         else:
-            new = gamma_cer_solve(g.add_edge(u, v), cfg).value
+            new = gamma_cer_solve(g.add_edge(u, v)).value
             records.append(
                 ModificationRecord(
                     "edge-add",
@@ -219,7 +212,6 @@ def edge_effects(
 def vertex_effects(
     g: Graph,
     scope: str | Iterable[int] = "all-deletions",
-    cfg: SolverConfig | None = None,
 ) -> ModificationReport:
     """Exact values after deleting each vertex, or after one vertex addition.
 
@@ -228,13 +220,13 @@ def vertex_effects(
     neighbour) is reported without any bound claim.  An empty neighbour set
     is rejected: adding an isolated vertex just adds one to the value.
     """
-    base = gamma_cer_solve(g, cfg).value
+    base = gamma_cer_solve(g).value
     records = []
     if isinstance(scope, str):
         if scope != "all-deletions":
             raise ValueError(f"unknown scope {scope!r}")
         for v in range(g.n):
-            new = gamma_cer_solve(g.remove_vertex(v), cfg).value
+            new = gamma_cer_solve(g.remove_vertex(v)).value
             records.append(ModificationRecord("vertex-del", (v,), new, new - base))
         return ModificationReport(scope, base, tuple(records))
     nbrs = sorted(set(scope))
@@ -243,7 +235,7 @@ def vertex_effects(
         raise ValueError(
             "neighbour set must be nonempty (an isolated addition is just +1)"
         )
-    new = gamma_cer_solve(g.add_vertex(nbrs), cfg).value
+    new = gamma_cer_solve(g.add_vertex(nbrs)).value
     bounded = len(nbrs) >= 2
     records.append(
         ModificationRecord(
@@ -303,7 +295,7 @@ class NGReport:
         return obj
 
 
-def nordhaus_gaddum(g: Graph, cfg: SolverConfig | None = None) -> NGReport:
+def nordhaus_gaddum(g: Graph) -> NGReport:
     """Sum/product behaviour of the value on a graph and its complement.
 
     Evaluates the bounds applicable to the minimum-degree regime: with both
@@ -316,8 +308,8 @@ def nordhaus_gaddum(g: Graph, cfg: SolverConfig | None = None) -> NGReport:
     if g.n == 0:
         raise ValueError("complement-pair report needs at least one vertex")
     gbar = complement(g)
-    a = gamma_cer_solve(g, cfg).value
-    b = gamma_cer_solve(gbar, cfg).value
+    a = gamma_cer_solve(g).value
+    b = gamma_cer_solve(gbar).value
     dmin = min(min_degree(g), min_degree(gbar))
     regime = (
         "min_delta_0" if dmin == 0 else "min_delta_1" if dmin == 1 else "min_delta_ge2"

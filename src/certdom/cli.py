@@ -257,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--no-reductions", action="store_true",
-        help="disable support forcing and bound-seeding reductions",
+        help="gamma-cer only: disable support forcing and the gamma-seeded bound",
     )
     p.add_argument("--node-limit", type=int, default=None, metavar="N")
     p.add_argument("--json", action="store_true", help="one JSON line instead of text")

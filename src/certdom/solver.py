@@ -7,14 +7,17 @@ Two independent routes are provided:
   the ground truth for everything else and refuse graphs above a size bound.
 
 * ``gamma_solve`` / ``gamma_cer_solve`` run a reduction-aware branch and
-  bound: split into connected components, take a closed-form fast path on
-  recognized components, pre-pin support vertices (certified sets must
-  contain every support), branch on the closed neighbourhood of an
-  undominated vertex, and prune with a greedy disjoint-closed-neighbourhood
-  packing bound.  Infeasible certification is detected early: a chosen
-  vertex whose unresolved neighbourhood can no longer avoid "exactly one
-  neighbour outside" kills the branch, and near-misses force its last
-  undecided neighbour in or out.
+  bound per connected component, branching on the closed neighbourhood of an
+  undominated vertex and pruning with a greedy disjoint-closed-neighbourhood
+  packing bound.  Both share one value phase, which proves the domination
+  number; the certified solve runs it first (leaves pinned out) and uses the
+  result as the bound gamma_cer <= min(gamma + |S1|, 2 gamma) and as an
+  incumbent, so one certified solve returns both numbers.  It then takes a
+  closed-form fast path on recognized components, pre-pins support vertices
+  (certified sets must contain every support) and detects infeasible
+  certification early: a chosen vertex whose unresolved neighbourhood can no
+  longer avoid "exactly one neighbour outside" kills the branch, and
+  near-misses force its last undecided neighbour in or out.
 
 Certificates are deterministic: among all optimal sets the lexicographically
 smallest (by sorted vertex list) is returned, found by a second,
@@ -75,12 +78,17 @@ class SolveResult:
     ``proven`` is False only when a node limit truncated the search; the
     certificate is then still a valid set of size ``value`` but optimality
     (or the tie break) is unverified.
+
+    ``gamma`` is the domination number, proven by the shared value phase of
+    either solve.  It is None when that phase did not run (a certified solve
+    with reductions off) or a node limit stopped it.
     """
 
     value: int
     certificate: VertexSet
     stats: SolveStats = field(default_factory=SolveStats)
     proven: bool = True
+    gamma: int | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -288,12 +296,7 @@ class _Search:
     # -- phase 1: optimal value ----------------------------------------------
 
     def solve_best(
-        self,
-        in0: int,
-        out0: int,
-        inc_val: int,
-        inc_mask: int,
-        value_bound: int | None = None,
+        self, in0: int, out0: int, inc_mask: int, value_bound: int | None = None
     ) -> tuple[int, int]:
         """Best-value search seeded with a feasible incumbent.
 
@@ -301,7 +304,7 @@ class _Search:
         optimum; branches whose lower bound exceeds it are cut even before
         they beat the incumbent.
         """
-        self.best_val = inc_val
+        self.best_val = inc_mask.bit_count()
         self.best_mask = inc_mask
         self.value_bound = value_bound
         self._descend_best(in0, out0)
@@ -396,110 +399,101 @@ class _Search:
         return chosen
 
 
-def _plain_component_value(
-    g: Graph, budget: _Budget, forbid: int = 0
-) -> tuple[int, int]:
-    """Optimal plain-domination (value, mask) for one component.
+def _component(
+    g: Graph, cfg: SolverConfig, stats: SolveStats, budget: _Budget, certified: bool
+) -> tuple[int, int, bool, int | None]:
+    """(value, certificate mask, proven, gamma) for one connected component.
 
-    ``forbid`` pins vertices out of the set; callers must ensure a cover
-    avoiding them exists.
+    The plain value phase proves gamma.  Certified mode (reductions on) pins
+    the leaves out of it, harmless for n >= 3 as a support stands in for its
+    leaf, and turns its optimum into a value bound and an incumbent.  In
+    gamma mode its optimum is the value.
     """
-    search = _Search(g, certified=False, budget=budget)
-    inc = search.greedy_cover(forbid)
-    if inc is None:
-        raise ValueError("forbidden vertices leave the graph uncoverable")
-    return search.solve_best(0, forbid, inc.bit_count(), inc)
-
-
-def _cer_component(
-    g: Graph, cfg: SolverConfig, stats: SolveStats, budget: _Budget
-) -> tuple[int, int, bool]:
-    """(value, certificate mask, proven) for one connected component."""
-    n = g.n
-    value: int | None = None
-    if cfg.use_closed_forms:
-        hit = closed_form(g)
-        if hit is not None:
-            value = hit[1]
-            stats.closed_form_hits += 1
-
     prof = leaf_profile(g)
-    supports = supports_mask(g) if cfg.use_reductions else 0
-    stats.forced_vertices += supports.bit_count()
-    # leaves on strong supports are safe to leave out of any certified set
-    inc_mask = g.full_mask & ~prof.strong_leaves
-    inc_val = inc_mask.bit_count()
-
-    search = _Search(g, certified=True, budget=budget)
-    if value is None:
+    pins = supports_mask(g) if certified and cfg.use_reductions else 0
+    gamma = None
+    if not certified or cfg.use_reductions:
+        forbid = prof.leaves if certified and g.n >= 3 else 0
+        search = _Search(g, certified=False, budget=budget)
+        d0 = search.greedy_cover(forbid)
+        try:
+            # with the leaves out every support is forced in; pinning them
+            # up front spares propagation one pass per support
+            gamma, d0 = search.solve_best(pins if forbid else 0, forbid, d0)
+        except _NodeLimit:
+            pass
+    if not certified:
+        value, inc_mask = gamma, d0
+    else:
+        value = None
+        if cfg.use_closed_forms:
+            hit = closed_form(g)
+            if hit is not None:
+                value = hit[1]
+                stats.closed_form_hits += 1
+        stats.forced_vertices += pins.bit_count()
+        # leaves on strong supports are safe to leave out of any certified set
+        inc_mask = g.full_mask & ~prof.strong_leaves
         value_bound = None
-        if cfg.use_reductions and n >= 3:
-            # Plain-domination solve restricted to non-leaves: its optimum is
-            # the true domination number and, repaired, a strong incumbent.
-            try:
-                gamma, d0 = _plain_component_value(g, budget, forbid=prof.leaves)
-            except _NodeLimit:
-                gamma = d0 = None
-            if gamma is not None:
-                value_bound = min(gamma + prof.weak.bit_count(), 2 * gamma, inc_val)
-                if _certified(g, d0):
-                    value = gamma  # gamma_cer >= gamma always, so this is optimal
-                else:
-                    d1 = d0
-                    for s in _bits(d0):
-                        out_nbrs = g.adj[s] & ~d0
-                        if out_nbrs.bit_count() == 1 and prof.weak >> s & 1:
-                            d1 |= g.adj[s] & prof.leaves
-                    if _certified(g, d1) and d1.bit_count() < inc_val:
-                        inc_val = d1.bit_count()
-                        inc_mask = d1
+        if value is None and gamma is not None:
+            value_bound = min(
+                gamma + prof.weak.bit_count(), 2 * gamma, inc_mask.bit_count()
+            )
+            if _certified(g, d0):
+                value = gamma  # gamma_cer >= gamma always, so this is optimal
+            else:
+                # repair: give each half-shadowed weak support its leaf
+                d1 = d0
+                for s in _bits(d0):
+                    out_nbrs = g.adj[s] & ~d0
+                    if out_nbrs.bit_count() == 1 and prof.weak >> s & 1:
+                        d1 |= g.adj[s] & prof.leaves
+                if _certified(g, d1) and d1.bit_count() < inc_mask.bit_count():
+                    inc_mask = d1
+        search = _Search(g, certified=True, budget=budget)
         if value is None:
             try:
-                value, inc_mask = search.solve_best(
-                    supports, 0, inc_val, inc_mask, value_bound
-                )
+                value, inc_mask = search.solve_best(pins, 0, inc_mask, value_bound)
             except _NodeLimit:
-                return inc_mask.bit_count(), inc_mask, False
-
+                pass
+    if value is None:
+        return inc_mask.bit_count(), inc_mask, False, gamma
     try:
-        cert = search.lex_first(value, supports, 0)
+        cert = search.lex_first(value, pins, 0)
     except _NodeLimit:
-        if inc_mask.bit_count() == value:
-            return value, inc_mask, False
-        return inc_mask.bit_count(), inc_mask, False
+        return inc_mask.bit_count(), inc_mask, False, gamma
     if cert is None:
         raise AssertionError("no certificate at the proven optimum; solver bug")
-    return value, cert, True
+    return value, cert, True, gamma
 
 
-def _combine_components(
-    g: Graph,
-    cfg: SolverConfig,
-    component_solver,
-) -> SolveResult:
+def _combine_components(g: Graph, cfg: SolverConfig, certified: bool) -> SolveResult:
     stats = SolveStats()
     budget = _Budget(cfg.node_limit)
     parts = components(g)
     if len(parts) > 1:
         stats.components_split = len(parts)
     total = 0
+    gamma = 0
     cert = 0
     proven = True
     for vs, comp in parts:
         order = vs.to_list()
-        val, mask, ok = component_solver(comp, cfg, stats, budget)
+        val, mask, ok, part_gamma = _component(comp, cfg, stats, budget, certified)
         total += val
+        if gamma is not None:
+            gamma = None if part_gamma is None else gamma + part_gamma
         for i in _bits(mask):
             cert |= 1 << order[i]
         proven = proven and ok
     stats.nodes_expanded = budget.used
-    return SolveResult(total, VertexSet(g.n, cert), stats, proven)
+    return SolveResult(total, VertexSet(g.n, cert), stats, proven, gamma)
 
 
 def gamma_cer_solve(g: Graph, cfg: SolverConfig | None = None) -> SolveResult:
     """Exact certified domination number with a deterministic certificate."""
     cfg = cfg or SolverConfig()
-    res = _combine_components(g, cfg, _cer_component)
+    res = _combine_components(g, cfg, True)
     # A set of n-1 vertices is never certified: its lone outside vertex would
     # leave each of its dominators with exactly one outside neighbour.  Every
     # returned certificate is certified, so this holds even under node limits.
@@ -508,29 +502,10 @@ def gamma_cer_solve(g: Graph, cfg: SolverConfig | None = None) -> SolveResult:
     return res
 
 
-def _plain_component(
-    g: Graph, cfg: SolverConfig, stats: SolveStats, budget: _Budget
-) -> tuple[int, int, bool]:
-    search = _Search(g, certified=False, budget=budget)
-    inc_mask = search.greedy_cover()
-    inc_val = inc_mask.bit_count()
-    try:
-        value, inc_mask = search.solve_best(0, 0, inc_val, inc_mask)
-    except _NodeLimit:
-        return inc_val, inc_mask, False
-    try:
-        cert = search.lex_first(value, 0, 0)
-    except _NodeLimit:
-        return value, inc_mask, False
-    if cert is None:
-        raise AssertionError("no certificate at the proven optimum; solver bug")
-    return value, cert, True
-
-
 def gamma_solve(g: Graph, cfg: SolverConfig | None = None) -> SolveResult:
     """Exact domination number with a deterministic certificate."""
     cfg = cfg or SolverConfig()
-    return _combine_components(g, cfg, _plain_component)
+    return _combine_components(g, cfg, False)
 
 
 # ---------------------------------------------------------------------------
@@ -550,8 +525,10 @@ def find_dd2_pair(
     dominating set all of whose members are illuminated, so its complement
     2-dominates.  Otherwise dominating sets are enumerated smallest first
     (refused above ``max_n``).  With ``max_d_size`` set, any pair with
-    |D| <= max_d_size is returned, or None.
+    |D| <= max_d_size is returned, or None; a negative bound is rejected.
     """
+    if max_d_size is not None and max_d_size < 0:
+        raise ValueError(f"max_d_size must be non-negative, got {max_d_size}")
     n = g.n
     if n == 0:
         return DD2Pair(VertexSet(0, 0), VertexSet(0, 0))

@@ -35,7 +35,6 @@ from .solver import (
     all_min_dominating_sets,
     find_dd2_pair,
     gamma_cer_solve,
-    gamma_solve,
 )
 from .structure import (
     complete_bipartite_sides,
@@ -91,12 +90,12 @@ class SolveCache:
 
     Shared by all claims in a run so edge/complement sweeps at a fixed n
     collapse to dictionary lookups.  Solves use the default ``SolverConfig``;
-    ``CACHE_MAX_ENTRIES`` caps memory.
+    ``CACHE_MAX_ENTRIES`` caps memory.  One certified solve fills the entry
+    for ``gamma_cer``, ``gamma_cer_cert`` and ``gamma`` alike.
     """
 
     def __init__(self):
         self._cer: dict = {}
-        self._gam: dict = {}
         self._mds: dict = {}
 
     @staticmethod
@@ -110,23 +109,17 @@ class SolveCache:
     def gamma_cer_cert(self, g: Graph) -> VertexSet:
         return VertexSet(g.n, self._cer_entry(g)[1])
 
-    def _cer_entry(self, g: Graph) -> tuple[int, int]:
+    def gamma(self, g: Graph) -> int:
+        return self._cer_entry(g)[2]
+
+    def _cer_entry(self, g: Graph) -> tuple[int, int, int]:
         key = (g.n, g.adj)
         got = self._cer.get(key)
         if got is None:
             res = gamma_cer_solve(g)
-            got = (res.value, res.certificate.mask)
+            got = (res.value, res.certificate.mask, res.gamma)
             self._room(self._cer)
             self._cer[key] = got
-        return got
-
-    def gamma(self, g: Graph) -> int:
-        key = (g.n, g.adj)
-        got = self._gam.get(key)
-        if got is None:
-            got = gamma_solve(g).value
-            self._room(self._gam)
-            self._gam[key] = got
         return got
 
     def min_dom_masks(self, g: Graph) -> tuple[int, ...]:
@@ -140,7 +133,7 @@ class SolveCache:
 
     def known_values(self) -> Iterator[tuple[int, tuple, int]]:
         """(order, adjacency, certified-domination value) for every solve so far."""
-        for (n, adj), (value, _) in self._cer.items():
+        for (n, adj), (value, _, _) in self._cer.items():
             yield n, adj, value
 
 

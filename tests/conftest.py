@@ -3,7 +3,7 @@ from itertools import combinations
 
 import pytest
 
-from certdom import Graph
+from certdom import Graph, solver
 
 
 def relabel(g: Graph, perm: list[int]) -> Graph:
@@ -19,3 +19,17 @@ def random_graph(n: int, p: float, rng: random.Random) -> Graph:
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(0xC0FFEE)
+
+
+@pytest.fixture
+def solves(monkeypatch) -> list[bool]:
+    """Records the ``certified`` flag of every branch-and-bound solve."""
+    seen: list[bool] = []
+    combine = solver._combine_components
+
+    def counted(g, cfg, certified):
+        seen.append(certified)
+        return combine(g, cfg, certified)
+
+    monkeypatch.setattr(solver, "_combine_components", counted)
+    return seen

@@ -148,6 +148,7 @@ def test_criterion_5_solver_oracle_equivalence():
         og = cd.gamma_oracle(g)
         assert sc.value == oc.value, cd.encode_graph6(g)
         assert sg.value == og.value, cd.encode_graph6(g)
+        assert sc.gamma == og.value and sg.gamma == og.value, cd.encode_graph6(g)
         assert cd.is_certified_dominating(g, sc.certificate)
         assert cd.is_certified_dominating(g, oc.certificate)
         assert cd.is_dominating(g, sg.certificate)

@@ -25,8 +25,9 @@ from certdom import (
 from certdom.suite import enumerate_labeled_graphs
 
 
-def test_bound_report_c7():
+def test_bound_report_c7(solves):
     r = bound_report(cycle_graph(7))
+    assert solves == [True]
     assert (r.gamma, r.gamma_cer) == (3, 3)
     assert all(b.holds for b in r.bounds)
     assert r.equality_holds and r.equality_witness is not None

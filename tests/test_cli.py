@@ -164,6 +164,15 @@ def test_dd2_found_json(capsys, monkeypatch):
     assert obj["found"] and sorted(obj["d"] + obj["d2"]) == [0, 1, 2, 3]
 
 
+def test_dd2_negative_max_d_is_usage_error(capsys, monkeypatch):
+    code, out, err = run_cli(
+        capsys, "dd2", "-", "--max-d", "-1",
+        stdin="n 4\n0 1\n1 2\n2 3\n", monkeypatch=monkeypatch,
+    )
+    assert code == 2 and out == ""
+    assert "max_d_size must be non-negative, got -1" in err
+
+
 def test_suite_command_clean(capsys):
     code, out, _ = run_cli(capsys, "suite", "--n-max", "3")
     assert code == 0

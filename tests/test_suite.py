@@ -135,13 +135,15 @@ def test_ng_pair_sets_match_small_order_tables():
     assert ng_pair_set(4) == {(3, 2), (5, 4), (6, 8), (8, 16)}
 
 
-def test_solve_cache_reuses_entries():
+def test_solve_cache_reuses_entries(solves):
     cache = SolveCache()
     g = cycle_graph(6)
     assert cache.gamma_cer(g) == 2
     assert (g.n, g.adj) in cache._cer
     assert cache.gamma_cer(g) == 2
     assert cache.gamma(g) == 2
+    # gamma comes from the cached certified solve; no second search runs
+    assert solves == [True]
     assert len(cache.min_dom_masks(g)) > 0
 
 
