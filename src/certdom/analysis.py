@@ -93,7 +93,8 @@ def bound_report(g: Graph) -> BoundReport:
     witness = None
     searched = g.n <= ORACLE_BOUND_DEFAULT
     if searched:
-        mask = equality_witness(g, (d.mask for d in all_min_dominating_sets(g)))
+        mins = all_min_dominating_sets(g, gamma=gamma)
+        mask = equality_witness(g, (d.mask for d in mins))
         witness = None if mask is None else VertexSet(g.n, mask)
     return BoundReport(
         n=g.n,

@@ -20,14 +20,18 @@ Two independent routes are provided:
   near-misses force its last undecided neighbour in or out.
 
 Certificates are deterministic: among all optimal sets the lexicographically
-smallest (by sorted vertex list) is returned, found by a second,
-vertex-ordered search with the optimum as an exact budget.
+smallest (by sorted vertex list) is returned, found by self-reduction.  Each
+vertex in ascending order is kept when an optimal witness (at first the value
+phase's optimum) holds it or a first-hit run of the same branch and bound
+finds one that does, and is pinned out otherwise.  After a node limit there
+the value stands and the witness is returned, unproven only in its tie break.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
+from typing import Iterator
 
 from .domination import DD2Pair, _certified, _dominates, is_2dominating
 from .graphs import Graph, VertexSet, _bits, components, leaf_profile, min_degree, supports_mask
@@ -46,6 +50,7 @@ class SolveStats:
     forced_vertices: int = 0
     components_split: int = 0
     closed_form_hits: int = 0
+    certificate_nodes: int = 0  # the share of nodes_expanded spent in lex_first
 
     def as_dict(self) -> dict[str, int]:
         return {
@@ -53,6 +58,7 @@ class SolveStats:
             "forced_vertices": self.forced_vertices,
             "components_split": self.components_split,
             "closed_form_hits": self.closed_form_hits,
+            "certificate_nodes": self.certificate_nodes,
         }
 
 
@@ -139,24 +145,28 @@ def gamma_cer_oracle(g: Graph, *, max_n: int = ORACLE_BOUND_DEFAULT) -> SolveRes
     return _oracle(g, certified=True, max_n=max_n)
 
 
-def all_min_dominating_sets(
-    g: Graph, *, max_n: int = ORACLE_BOUND_DEFAULT
-) -> list[VertexSet]:
-    """Every minimum dominating set, in lexicographic order."""
-    gamma = gamma_oracle(g, max_n=max_n).value
+def _dominating_masks(g: Graph, k: int) -> Iterator[int]:
+    """Masks of the dominating k-subsets, in lexicographic order."""
     closed = [g.adj[v] | 1 << v for v in range(g.n)]
     full = g.full_mask
-    out = []
-    for comb in combinations(range(g.n), gamma):
+    for comb in combinations(range(g.n), k):
         cover = 0
+        mask = 0
         for v in comb:
             cover |= closed[v]
+            mask |= 1 << v
         if cover == full:
-            mask = 0
-            for v in comb:
-                mask |= 1 << v
-            out.append(VertexSet(g.n, mask))
-    return out
+            yield mask
+
+
+def all_min_dominating_sets(
+    g: Graph, *, max_n: int = ORACLE_BOUND_DEFAULT, gamma: int | None = None
+) -> list[VertexSet]:
+    """Every minimum dominating set, in lexicographic order.  A known
+    domination number ``gamma`` spares the oracle's search for it."""
+    if gamma is None or g.n > max_n:  # the oracle refuses n > max_n
+        gamma = gamma_oracle(g, max_n=max_n).value
+    return [VertexSet(g.n, mask) for mask in _dominating_masks(g, gamma)]
 
 
 # ---------------------------------------------------------------------------
@@ -165,6 +175,10 @@ def all_min_dominating_sets(
 
 class _NodeLimit(Exception):
     pass
+
+
+class _Hit(Exception):
+    """Stops a first-hit search at its first qualifying set."""
 
 
 class _Budget:
@@ -185,7 +199,7 @@ class _Search:
 
     __slots__ = (
         "adj", "closed", "n", "full", "certified", "budget",
-        "best_val", "best_mask", "value_bound", "target",
+        "best_val", "best_mask", "value_bound", "first_hit",
     )
 
     def __init__(self, g: Graph, certified: bool, budget: _Budget):
@@ -307,6 +321,7 @@ class _Search:
         self.best_val = inc_mask.bit_count()
         self.best_mask = inc_mask
         self.value_bound = value_bound
+        self.first_hit = False
         self._descend_best(in0, out0)
         return self.best_val, self.best_mask
 
@@ -324,6 +339,8 @@ class _Search:
             # is a feasible completion of exactly this size.
             self.best_val = size
             self.best_mask = in_mask
+            if self.first_hit:
+                raise _Hit
             return
         lb = size + self._pack_bound(out_mask, covered)
         if lb >= self.best_val:
@@ -338,40 +355,40 @@ class _Search:
             cand ^= low
             self._descend_best(in_mask | low, out_mask | excl)
             excl |= low
-        return
 
     # -- phase 2: lexicographically smallest optimum -------------------------
 
-    def lex_first(self, size: int, in0: int = 0, out0: int = 0) -> int | None:
-        """First qualifying set of exactly ``size`` vertices in sorted-list
-        lexicographic order (equivalently: prefer containing lower-numbered
-        vertices)."""
-        self.target = size
-        return self._descend_lex(in0, out0)
+    def _any_within(self, size: int, in_mask: int, out_mask: int) -> bool:
+        """First-hit search for a set of at most ``size`` within the pins."""
+        self.best_val = size + 1
+        self.value_bound = None
+        self.first_hit = True
+        try:
+            self._descend_best(in_mask, out_mask)
+        except _Hit:
+            return True
+        return False
 
-    def _descend_lex(self, in_mask: int, out_mask: int) -> int | None:
-        self.budget.tick()
-        state = self._propagate(in_mask, out_mask)
-        if state is None:
-            return None
-        in_mask, out_mask, covered = state
-        size = in_mask.bit_count()
-        if size > self.target:
-            return None
-        if covered == self.full:
-            if size < self.target:
-                raise AssertionError(
-                    "feasible set below the proven optimum; solver bug"
-                )
-            return in_mask
-        if size + self._pack_bound(out_mask, covered) > self.target:
-            return None
-        undec = self.full & ~in_mask & ~out_mask
-        low = undec & -undec
-        got = self._descend_lex(in_mask | low, out_mask)
-        if got is not None:
-            return got
-        return self._descend_lex(in_mask, out_mask | low)
+    def lex_first(self, size: int, in_mask: int, out_mask: int, witness: int) -> int:
+        """Lexicographically smallest qualifying set of the optimal ``size``
+        (sorted-list order), by self-reduction: the lowest undecided vertex is
+        pinned in when the witness, an optimal set respecting the pins (0 for
+        none yet), holds it or a first-hit search finds a new witness with it,
+        and pinned out otherwise.  ``best_mask`` keeps the witness."""
+        self.best_mask = witness
+        while True:
+            state = self._propagate(in_mask, out_mask)
+            if state is None:
+                raise AssertionError("no certificate at the proven optimum; solver bug")
+            in_mask, out_mask, _ = state
+            undec = self.full & ~in_mask & ~out_mask
+            if not undec & ~self.best_mask or in_mask.bit_count() == size:
+                return in_mask | undec & self.best_mask
+            low = undec & -undec
+            if low & self.best_mask or self._any_within(size, in_mask | low, out_mask):
+                in_mask |= low
+            else:
+                out_mask |= low
 
     # -- helpers -------------------------------------------------------------
 
@@ -407,7 +424,8 @@ def _component(
     The plain value phase proves gamma.  Certified mode (reductions on) pins
     the leaves out of it, harmless for n >= 3 as a support stands in for its
     leaf, and turns its optimum into a value bound and an incumbent.  In
-    gamma mode its optimum is the value.
+    gamma mode its optimum is the value.  That optimal set (none after a
+    closed form) seeds ``lex_first``, whose witness survives a node limit.
     """
     prof = leaf_profile(g)
     pins = supports_mask(g) if certified and cfg.use_reductions else 0
@@ -440,7 +458,7 @@ def _component(
                 gamma + prof.weak.bit_count(), 2 * gamma, inc_mask.bit_count()
             )
             if _certified(g, d0):
-                value = gamma  # gamma_cer >= gamma always, so this is optimal
+                value, inc_mask = gamma, d0  # optimal, as gamma_cer >= gamma
             else:
                 # repair: give each half-shadowed weak support its leaf
                 d1 = d0
@@ -458,13 +476,15 @@ def _component(
                 pass
     if value is None:
         return inc_mask.bit_count(), inc_mask, False, gamma
+    witness = inc_mask if inc_mask.bit_count() == value else 0
+    start = budget.used
     try:
-        cert = search.lex_first(value, pins, 0)
+        return value, search.lex_first(value, pins, 0, witness), True, gamma
     except _NodeLimit:
-        return inc_mask.bit_count(), inc_mask, False, gamma
-    if cert is None:
-        raise AssertionError("no certificate at the proven optimum; solver bug")
-    return value, cert, True, gamma
+        cert = search.best_mask or inc_mask
+        return cert.bit_count(), cert, False, gamma
+    finally:
+        stats.certificate_nodes += budget.used - start
 
 
 def _combine_components(g: Graph, cfg: SolverConfig, certified: bool) -> SolveResult:
@@ -541,26 +561,12 @@ def find_dd2_pair(
         raise SizeLimitError(
             f"exhaustive pair search refuses n={n} > bound {max_n}"
         )
-    closed = [g.adj[v] | 1 << v for v in range(n)]
-    adj = g.adj
     full = g.full_mask
     top = n if max_d_size is None else min(max_d_size, n)
     for k in range(top + 1):
-        for comb in combinations(range(n), k):
-            cover = 0
-            mask = 0
-            for v in comb:
-                cover |= closed[v]
-                mask |= 1 << v
-            if cover != full:
-                continue
+        for mask in _dominating_masks(g, k):
             # The complement 2-dominates iff every chosen vertex keeps at
             # least two neighbours outside the dominating side.
-            ok = True
-            for v in comb:
-                if (adj[v] & ~mask).bit_count() < 2:
-                    ok = False
-                    break
-            if ok:
+            if all((g.adj[v] & ~mask).bit_count() >= 2 for v in _bits(mask)):
                 return DD2Pair(VertexSet(n, mask), VertexSet(n, full & ~mask))
     return None

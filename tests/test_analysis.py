@@ -33,6 +33,20 @@ def test_bound_report_c7(solves):
     assert r.equality_holds and r.equality_witness is not None
 
 
+def test_bound_report_reuses_the_solved_gamma(monkeypatch):
+    # the witness search lists the gamma-sets at the gamma the solve proved,
+    # without a subset-enumeration search for gamma
+    from certdom import solver
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("gamma_oracle called by bound_report")
+
+    monkeypatch.setattr(solver, "gamma_oracle", refuse)
+    r = bound_report(path_graph(20))
+    assert (r.gamma, r.gamma_cer) == (7, 7)
+    assert r.witness_searched and r.equality_witness is not None
+
+
 def test_bound_report_p4_is_tight():
     r = bound_report(path_graph(4))
     assert (r.gamma, r.gamma_cer) == (2, 4)

@@ -112,6 +112,21 @@ def test_certificate_is_lexicographically_smallest(rng):
         assert gamma_solve(g).certificate.mask == gamma_oracle(g).certificate.mask
 
 
+def test_certificate_is_lexicographically_smallest_mid_n():
+    # past the exhaustive suite's reach: n 10-16 over several densities
+    import random
+
+    rng = random.Random(20261018)
+    plain = SolverConfig(use_reductions=False, use_closed_forms=False)
+    for i in range(30):
+        g = random_graph(rng.randrange(10, 17), (0.12, 0.2, 0.3, 0.45, 0.6)[i % 5], rng)
+        lex_gamma = gamma_oracle(g).certificate.mask
+        lex_cer = gamma_cer_oracle(g).certificate.mask
+        assert gamma_solve(g).certificate.mask == lex_gamma
+        assert gamma_cer_solve(g).certificate.mask == lex_cer
+        assert gamma_cer_solve(g, plain).certificate.mask == lex_cer
+
+
 def test_reductions_and_closed_forms_do_not_change_results(rng):
     plain = SolverConfig(use_reductions=False, use_closed_forms=False)
     for _ in range(60):
@@ -147,6 +162,38 @@ def test_node_limit_flags_unproven():
     assert is_certified_dominating(g, res.certificate)
     assert res.value >= full.value
     assert len(res.certificate) == res.value
+
+
+def _seeded_gnp_40():
+    import random
+
+    from certdom import is_connected
+
+    g = random_graph(40, 0.2, random.Random(3))
+    assert is_connected(g)  # one component: its phases run back to back
+    return g
+
+
+def test_certificate_nodes_count_the_lex_phase():
+    g = _seeded_gnp_40()
+    for solve in (gamma_cer_solve, gamma_solve):
+        stats = solve(g).stats
+        assert 0 < stats.certificate_nodes <= stats.nodes_expanded
+        assert list(stats.as_dict())[-1] == "certificate_nodes"
+
+
+def test_node_limit_in_certificate_phase_keeps_proven_value():
+    # a limit just past the value phase stops the lex phase; the value is
+    # already proven and the witness then returned is an optimal set
+    g = _seeded_gnp_40()
+    for solve, valid in ((gamma_cer_solve, is_certified_dominating),
+                         (gamma_solve, is_dominating)):
+        full = solve(g)
+        limit = full.stats.nodes_expanded - full.stats.certificate_nodes + 1
+        res = solve(g, SolverConfig(node_limit=limit))
+        assert (res.value, res.gamma) == (full.value, full.gamma)
+        assert valid(g, res.certificate)
+        assert len(res.certificate) == full.value
 
 
 def test_solver_value_never_n_minus_1(rng):
@@ -200,6 +247,23 @@ def test_all_min_dominating_sets_lex_order(rng):
         sets = [d.to_list() for d in all_min_dominating_sets(g)]
         assert sets == sorted(sets)
         assert all(is_dominating(g, d) for d in sets)
+
+
+def test_all_min_dominating_sets_with_known_gamma_runs_no_oracle(rng, monkeypatch):
+    from certdom import solver
+
+    graphs = [random_graph(rng.randrange(1, 8), 0.4, rng) for _ in range(20)]
+    expected = [all_min_dominating_sets(g) for g in graphs]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("gamma_oracle called although gamma was given")
+
+    monkeypatch.setattr(solver, "gamma_oracle", refuse)
+    for g, sets in zip(graphs, expected):
+        assert all_min_dominating_sets(g, gamma=len(sets[0])) == sets
+    monkeypatch.undo()
+    with pytest.raises(SizeLimitError):
+        all_min_dominating_sets(path_graph(21), gamma=7)
 
 
 # ---------------------------------------------------------------------------
