@@ -12,12 +12,13 @@ Two independent routes are provided:
   packing bound.  Both share one value phase, which proves the domination
   number; the certified solve runs it first (leaves pinned out) and uses the
   result as the bound gamma_cer <= min(gamma + |S1|, 2 gamma) and as an
-  incumbent, so one certified solve returns both numbers.  It then takes a
-  closed-form fast path on recognized components, pre-pins support vertices
-  (certified sets must contain every support) and detects infeasible
-  certification early: a chosen vertex whose unresolved neighbourhood can no
-  longer avoid "exactly one neighbour outside" kills the branch, and
-  near-misses force its last undecided neighbour in or out.
+  incumbent, so one certified solve returns both numbers.  It then pre-pins
+  support vertices (certified sets must contain every support) and detects
+  infeasible certification early: a chosen vertex whose unresolved
+  neighbourhood can no longer avoid "exactly one neighbour outside" kills the
+  branch, and near-misses force its last undecided neighbour in or out.  No
+  value is read from the closed forms of ``structure``; they are checked
+  against this search.
 
 Certificates are deterministic: among all optimal sets the lexicographically
 smallest (by sorted vertex list) is returned, found by self-reduction.  Each
@@ -30,12 +31,12 @@ the value stands and the witness is returned, unproven only in its tie break.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from heapq import heapify, heappop, heapreplace
 from itertools import combinations
 from typing import Iterator
 
 from .domination import DD2Pair, _certified, _dominates, is_2dominating
 from .graphs import Graph, VertexSet, _bits, components, leaf_profile, min_degree, supports_mask
-from .structure import closed_form
 
 ORACLE_BOUND_DEFAULT = 20
 
@@ -49,7 +50,7 @@ class SolveStats:
     nodes_expanded: int = 0
     forced_vertices: int = 0
     components_split: int = 0
-    closed_form_hits: int = 0
+    closed_form_hits: int = 0  # always 0: no value comes from a closed form
     certificate_nodes: int = 0  # the share of nodes_expanded spent in lex_first
 
     def as_dict(self) -> dict[str, int]:
@@ -69,7 +70,6 @@ class SolverConfig:
     sorted vertex lists."""
 
     use_reductions: bool = True
-    use_closed_forms: bool = True
     node_limit: int | None = None
 
     def __post_init__(self) -> None:
@@ -372,9 +372,9 @@ class _Search:
     def lex_first(self, size: int, in_mask: int, out_mask: int, witness: int) -> int:
         """Lexicographically smallest qualifying set of the optimal ``size``
         (sorted-list order), by self-reduction: the lowest undecided vertex is
-        pinned in when the witness, an optimal set respecting the pins (0 for
-        none yet), holds it or a first-hit search finds a new witness with it,
-        and pinned out otherwise.  ``best_mask`` keeps the witness."""
+        pinned in when the witness, an optimal set respecting the pins, holds
+        it or a first-hit search finds a new witness with it, and pinned out
+        otherwise.  ``best_mask`` keeps the witness."""
         self.best_mask = witness
         while True:
             state = self._propagate(in_mask, out_mask)
@@ -393,26 +393,25 @@ class _Search:
     # -- helpers -------------------------------------------------------------
 
     def greedy_cover(self, out_mask: int = 0) -> int | None:
-        """Greedy dominating set avoiding ``out_mask`` vertices, as a mask."""
+        """Greedy dominating set avoiding ``out_mask`` (largest gain first, ties
+        to the lowest vertex), as a mask; None when some vertex cannot be
+        dominated.  Gains only shrink, so a lazy heap re-scores a stale top."""
         closed = self.closed
         full = self.full
-        cover = 0
-        chosen = 0
+        heap = [(-closed[v].bit_count(), v) for v in _bits(full & ~out_mask)]
+        heapify(heap)
+        cover = chosen = 0
         while cover != full:
-            best_v = -1
-            best_gain = 0
-            m = full & ~out_mask & ~chosen
-            while m:
-                low = m & -m
-                m ^= low
-                v = low.bit_length() - 1
-                gain = (closed[v] & ~cover).bit_count()
-                if gain > best_gain:
-                    best_gain, best_v = gain, v
-            if best_v < 0:
+            if not heap or heap[0][0] == 0:
                 return None
-            chosen |= 1 << best_v
-            cover |= closed[best_v]
+            neg_gain, v = heap[0]
+            gain = (closed[v] & ~cover).bit_count()
+            if gain == -neg_gain:
+                heappop(heap)
+                chosen |= 1 << v
+                cover |= closed[v]
+            else:
+                heapreplace(heap, (-gain, v))
         return chosen
 
 
@@ -424,8 +423,8 @@ def _component(
     The plain value phase proves gamma.  Certified mode (reductions on) pins
     the leaves out of it, harmless for n >= 3 as a support stands in for its
     leaf, and turns its optimum into a value bound and an incumbent.  In
-    gamma mode its optimum is the value.  That optimal set (none after a
-    closed form) seeds ``lex_first``, whose witness survives a node limit.
+    gamma mode its optimum is the value.  Either way an optimal set seeds
+    ``lex_first``, whose witness survives a node limit.
     """
     prof = leaf_profile(g)
     pins = supports_mask(g) if certified and cfg.use_reductions else 0
@@ -443,17 +442,11 @@ def _component(
     if not certified:
         value, inc_mask = gamma, d0
     else:
-        value = None
-        if cfg.use_closed_forms:
-            hit = closed_form(g)
-            if hit is not None:
-                value = hit[1]
-                stats.closed_form_hits += 1
+        value = value_bound = None
         stats.forced_vertices += pins.bit_count()
         # leaves on strong supports are safe to leave out of any certified set
         inc_mask = g.full_mask & ~prof.strong_leaves
-        value_bound = None
-        if value is None and gamma is not None:
+        if gamma is not None:
             value_bound = min(
                 gamma + prof.weak.bit_count(), 2 * gamma, inc_mask.bit_count()
             )
@@ -463,8 +456,7 @@ def _component(
                 # repair: give each half-shadowed weak support its leaf
                 d1 = d0
                 for s in _bits(d0):
-                    out_nbrs = g.adj[s] & ~d0
-                    if out_nbrs.bit_count() == 1 and prof.weak >> s & 1:
+                    if (g.adj[s] & ~d0).bit_count() == 1 and prof.weak >> s & 1:
                         d1 |= g.adj[s] & prof.leaves
                 if _certified(g, d1) and d1.bit_count() < inc_mask.bit_count():
                     inc_mask = d1
@@ -476,13 +468,11 @@ def _component(
                 pass
     if value is None:
         return inc_mask.bit_count(), inc_mask, False, gamma
-    witness = inc_mask if inc_mask.bit_count() == value else 0
     start = budget.used
     try:
-        return value, search.lex_first(value, pins, 0, witness), True, gamma
-    except _NodeLimit:
-        cert = search.best_mask or inc_mask
-        return cert.bit_count(), cert, False, gamma
+        return value, search.lex_first(value, pins, 0, inc_mask), True, gamma
+    except _NodeLimit:  # the witness is an optimal set: only its tie break is open
+        return value, search.best_mask, False, gamma
     finally:
         stats.certificate_nodes += budget.used - start
 
@@ -510,6 +500,13 @@ def _combine_components(g: Graph, cfg: SolverConfig, certified: bool) -> SolveRe
     return SolveResult(total, VertexSet(g.n, cert), stats, proven, gamma)
 
 
+def _checked(g: Graph, res: SolveResult, valid) -> SolveResult:
+    # an explicit raise, not assert, so the check survives python -O
+    if not valid(g, res.certificate.mask) or len(res.certificate) != res.value:
+        raise AssertionError("the certificate fails its check; solver bug")
+    return res
+
+
 def gamma_cer_solve(g: Graph, cfg: SolverConfig | None = None) -> SolveResult:
     """Exact certified domination number with a deterministic certificate."""
     cfg = cfg or SolverConfig()
@@ -519,13 +516,13 @@ def gamma_cer_solve(g: Graph, cfg: SolverConfig | None = None) -> SolveResult:
     # returned certificate is certified, so this holds even under node limits.
     if res.value == g.n - 1:
         raise AssertionError("certified value n-1 is impossible; solver bug")
-    return res
+    return _checked(g, res, _certified)
 
 
 def gamma_solve(g: Graph, cfg: SolverConfig | None = None) -> SolveResult:
     """Exact domination number with a deterministic certificate."""
     cfg = cfg or SolverConfig()
-    return _combine_components(g, cfg, False)
+    return _checked(g, _combine_components(g, cfg, False), _dominates)
 
 
 # ---------------------------------------------------------------------------

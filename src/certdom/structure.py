@@ -2,9 +2,10 @@
 
 Recognition is by direct structural test (degree profile plus neighbourhood
 shape), never by general isomorphism search: every family handled here has a
-constant-time local characterization.  ``closed_form`` is the solver's fast
-path; the two predictors at the bottom decide the value-n and value-(n-2)
-characterizations component by component.
+constant-time local characterization.  ``closed_form`` states the paper's
+value tables; the solver never reads them, so the claim suite checks them
+against an independent search.  The two predictors at the bottom decide the
+value-n and value-(n-2) characterizations component by component.
 """
 
 from __future__ import annotations

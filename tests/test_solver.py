@@ -117,7 +117,7 @@ def test_certificate_is_lexicographically_smallest_mid_n():
     import random
 
     rng = random.Random(20261018)
-    plain = SolverConfig(use_reductions=False, use_closed_forms=False)
+    plain = SolverConfig(use_reductions=False)
     for i in range(30):
         g = random_graph(rng.randrange(10, 17), (0.12, 0.2, 0.3, 0.45, 0.6)[i % 5], rng)
         lex_gamma = gamma_oracle(g).certificate.mask
@@ -128,7 +128,7 @@ def test_certificate_is_lexicographically_smallest_mid_n():
 
 
 def test_reductions_and_closed_forms_do_not_change_results(rng):
-    plain = SolverConfig(use_reductions=False, use_closed_forms=False)
+    plain = SolverConfig(use_reductions=False)
     for _ in range(60):
         g = random_graph(rng.randrange(0, 8), rng.random(), rng)
         a = gamma_cer_solve(g)
@@ -225,6 +225,116 @@ def test_value_n_minus_1_check_survives_python_O():
                           env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert "n-1 is impossible" in proc.stdout
+
+
+_BAD_CERTIFICATE_SCRIPT = """
+from certdom import VertexSet, path_graph, solver
+
+if __debug__:
+    raise SystemExit("expected to run under python -O")
+p4 = path_graph(4)  # 0-1-2-3; no case below reports the value n-1 = 3
+cases = [
+    (solver.gamma_cer_solve, 2, 0b0110),  # dominates, but 1 and 2 are half-shadowed
+    (solver.gamma_cer_solve, 2, 0b1111),  # certified, but of size 4
+    (solver.gamma_solve, 1, 0b0010),  # misses vertex 3
+    (solver.gamma_solve, 1, 0b0110),  # dominates, but of size 2
+]
+for solve, value, mask in cases:
+    solver._combine_components = lambda g, cfg, part: solver.SolveResult(
+        value, VertexSet(g.n, mask))
+    try:
+        solve(p4)
+    except AssertionError as exc:
+        print(exc)
+    else:
+        raise SystemExit(f"{solve.__name__} accepted {mask:04b} as value {value}")
+"""
+
+
+def test_certificate_check_survives_python_O():
+    src = str(Path(certdom.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-O", "-c", _BAD_CERTIFICATE_SCRIPT],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.count("fails its check") == 4
+
+
+def test_closed_form_tables_checked_by_an_independent_search(monkeypatch):
+    # the solver must not read the tables it is used to check
+    from certdom import structure
+    from certdom.structure import (
+        gamma_cer_complete,
+        gamma_cer_complete_bipartite,
+        gamma_cer_cycle,
+        gamma_cer_path,
+        gamma_cer_wheel,
+    )
+
+    def refuse(g):
+        raise AssertionError("closed_form called by the solver")
+
+    monkeypatch.setattr(structure, "closed_form", refuse)
+    monkeypatch.setattr(certdom, "closed_form", refuse)
+    cases = [(path_graph(n), gamma_cer_path(n)) for n in range(1, 13)]
+    cases += [(cycle_graph(n), gamma_cer_cycle(n)) for n in range(3, 13)]
+    cases += [(complete_graph(n), gamma_cer_complete(n)) for n in range(1, 13)]
+    cases += [
+        (complete_bipartite_graph(m, n), gamma_cer_complete_bipartite(m, n))
+        for m in range(1, 7)
+        for n in range(m, 7)
+        if m + n <= 12
+    ]
+    cases += [(wheel_graph(n), gamma_cer_wheel(n)) for n in range(4, 13)]
+    coronas = [corona(h, complete_graph(1))
+               for h in (path_graph(1), path_graph(4), cycle_graph(5), wheel_graph(6))]
+    cases += [(g, g.n) for g in coronas]
+    keys = ["nodes_expanded", "forced_vertices", "components_split",
+            "closed_form_hits", "certificate_nodes"]
+    for g, table in cases:
+        res = gamma_cer_solve(g)
+        assert res.value == table, g
+        assert res.stats.closed_form_hits == 0
+        assert list(res.stats.as_dict()) == keys
+
+
+def _eager_greedy_cover(g, out_mask):
+    # reference: rescan every allowed vertex for the largest gain each round
+    closed = [g.adj[v] | 1 << v for v in range(g.n)]
+    cover = chosen = 0
+    while cover != g.full_mask:
+        gains = [((closed[v] & ~cover).bit_count(), -v)
+                 for v in range(g.n) if not out_mask >> v & 1]
+        gain, neg_v = max(gains, default=(0, 0))
+        if gain == 0:
+            return None
+        chosen |= 1 << -neg_v
+        cover |= closed[-neg_v]
+    return chosen
+
+
+def test_greedy_cover_matches_eager_greedy(rng):
+    import random
+
+    from certdom import solver
+    from certdom.graphs import leaf_mask
+
+    def greedy(g, out_mask):
+        return solver._Search(g, False, solver._Budget(None)).greedy_cover(out_mask)
+
+    for _ in range(300):
+        g = random_graph(rng.randrange(0, 11), rng.random(), rng)
+        for out_mask in (0, rng.getrandbits(g.n), rng.getrandbits(g.n) & rng.getrandbits(g.n)):
+            assert greedy(g, out_mask) == _eager_greedy_cover(g, out_mask)
+    tree_rng = random.Random(20261018)
+    for n in range(3, 60, 4):
+        g = Graph.from_edges(n, [(v, tree_rng.randrange(v)) for v in range(1, n)])
+        got = greedy(g, leaf_mask(g))
+        assert got is not None and got == _eager_greedy_cover(g, leaf_mask(g))
+    # the isolated vertex 3 of P3 + K1 cannot be dominated once it is out
+    g = Graph.from_edges(4, [(0, 1), (1, 2)])
+    assert greedy(g, 0b1100) is None
+    assert _eager_greedy_cover(g, 0b1100) is None
 
 
 # ---------------------------------------------------------------------------
