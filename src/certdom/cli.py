@@ -257,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--no-reductions", action="store_true",
-        help="gamma-cer only: disable support forcing and the gamma-seeded bound",
+        help="gamma-cer only: disable support forcing and the gamma phase",
     )
     p.add_argument("--node-limit", type=int, default=None, metavar="N")
     p.add_argument("--json", action="store_true", help="one JSON line instead of text")

@@ -394,12 +394,6 @@ def min_degree(g: Graph) -> int:
     return min(g.degrees())
 
 
-def max_degree(g: Graph) -> int:
-    if g.n == 0:
-        raise ValueError("maximum degree undefined for the empty graph")
-    return max(g.degrees())
-
-
 # ---------------------------------------------------------------------------
 # graph6 format
 # ---------------------------------------------------------------------------

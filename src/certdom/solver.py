@@ -9,23 +9,26 @@ Two independent routes are provided:
 * ``gamma_solve`` / ``gamma_cer_solve`` run a reduction-aware branch and
   bound per connected component, branching on the closed neighbourhood of an
   undominated vertex and pruning with a greedy disjoint-closed-neighbourhood
-  packing bound.  Both share one value phase, which proves the domination
-  number; the certified solve runs it first (leaves pinned out) and uses the
-  result as the bound gamma_cer <= min(gamma + |S1|, 2 gamma) and as an
-  incumbent, so one certified solve returns both numbers.  It then pre-pins
-  support vertices (certified sets must contain every support) and detects
-  infeasible certification early: a chosen vertex whose unresolved
-  neighbourhood can no longer avoid "exactly one neighbour outside" kills the
-  branch, and near-misses force its last undecided neighbour in or out.  No
-  value is read from the closed forms of ``structure``; they are checked
+  packing bound.  Both share one leaf-free value phase, which proves the
+  domination number with the leaves pinned out and the supports in (a
+  support stands in for its leaf).  The certified solve runs it first and
+  uses the result as an incumbent, so one certified solve returns both
+  numbers.  It then pre-pins support vertices (certified sets must contain
+  every support) and detects infeasible certification early: a chosen
+  vertex whose unresolved neighbourhood can no longer avoid "exactly one
+  neighbour outside" kills the branch, and near-misses force its last
+  undecided neighbour in or out.  No value is read from the closed forms of
+  ``structure`` or bounded by the paper's upper bounds; both are checked
   against this search.
 
 Certificates are deterministic: among all optimal sets the lexicographically
 smallest (by sorted vertex list) is returned, found by self-reduction.  Each
 vertex in ascending order is kept when an optimal witness (at first the value
 phase's optimum) holds it or a first-hit run of the same branch and bound
-finds one that does, and is pinned out otherwise.  After a node limit there
-the value stands and the witness is returned, unproven only in its tie break.
+finds one that does, and is pinned out otherwise.  Every component's value
+is settled before any certificate phase starts, so after a node limit there
+the values stand and the witnesses are returned, unproven only in their tie
+break.
 """
 
 from __future__ import annotations
@@ -199,7 +202,7 @@ class _Search:
 
     __slots__ = (
         "adj", "closed", "n", "full", "certified", "budget",
-        "best_val", "best_mask", "value_bound", "first_hit",
+        "best_val", "best_mask", "first_hit",
     )
 
     def __init__(self, g: Graph, certified: bool, budget: _Budget):
@@ -309,18 +312,11 @@ class _Search:
 
     # -- phase 1: optimal value ----------------------------------------------
 
-    def solve_best(
-        self, in0: int, out0: int, inc_mask: int, value_bound: int | None = None
-    ) -> tuple[int, int]:
-        """Best-value search seeded with a feasible incumbent.
-
-        ``value_bound``, when given, must be a proven upper bound on the
-        optimum; branches whose lower bound exceeds it are cut even before
-        they beat the incumbent.
-        """
+    def solve_best(self, in0: int, out0: int, inc_mask: int) -> tuple[int, int]:
+        """Best-value search seeded with a feasible incumbent.  ``best_mask``
+        holds the best set found, also after a node limit stops the search."""
         self.best_val = inc_mask.bit_count()
         self.best_mask = inc_mask
-        self.value_bound = value_bound
         self.first_hit = False
         self._descend_best(in0, out0)
         return self.best_val, self.best_mask
@@ -345,8 +341,6 @@ class _Search:
         lb = size + self._pack_bound(out_mask, covered)
         if lb >= self.best_val:
             return
-        if self.value_bound is not None and lb > self.value_bound:
-            return
         u = self._branch_vertex(out_mask, covered)
         cand = self.closed[u] & ~out_mask
         excl = 0
@@ -361,7 +355,6 @@ class _Search:
     def _any_within(self, size: int, in_mask: int, out_mask: int) -> bool:
         """First-hit search for a set of at most ``size`` within the pins."""
         self.best_val = size + 1
-        self.value_bound = None
         self.first_hit = True
         try:
             self._descend_best(in_mask, out_mask)
@@ -417,64 +410,60 @@ class _Search:
 
 def _component(
     g: Graph, cfg: SolverConfig, stats: SolveStats, budget: _Budget, certified: bool
-) -> tuple[int, int, bool, int | None]:
-    """(value, certificate mask, proven, gamma) for one connected component.
+) -> tuple[_Search, int | None, int, int, int | None]:
+    """(search, value, best set, pins, gamma) for one connected component;
+    the value is None when a node limit cut its search.
 
-    The plain value phase proves gamma.  Certified mode (reductions on) pins
-    the leaves out of it, harmless for n >= 3 as a support stands in for its
-    leaf, and turns its optimum into a value bound and an incumbent.  In
-    gamma mode its optimum is the value.  Either way an optimal set seeds
-    ``lex_first``, whose witness survives a node limit.
+    The value phase, the same in both modes (certified mode runs it only
+    with reductions on), proves gamma with the leaves pinned out, harmless
+    for n >= 3 as a support stands in for its leaf.  In gamma mode its
+    optimum is the value; certified mode turns it into an incumbent.  After
+    a node limit the best set found stands; otherwise the optimal set
+    returned seeds ``search.lex_first`` under the pins.
     """
     prof = leaf_profile(g)
-    pins = supports_mask(g) if certified and cfg.use_reductions else 0
+    supports = supports_mask(g)
+    pins = supports if certified and cfg.use_reductions else 0
     gamma = None
     if not certified or cfg.use_reductions:
-        forbid = prof.leaves if certified and g.n >= 3 else 0
+        forbid = prof.leaves if g.n >= 3 else 0
         search = _Search(g, certified=False, budget=budget)
         d0 = search.greedy_cover(forbid)
         try:
             # with the leaves out every support is forced in; pinning them
             # up front spares propagation one pass per support
-            gamma, d0 = search.solve_best(pins if forbid else 0, forbid, d0)
+            gamma, d0 = search.solve_best(supports if forbid else 0, forbid, d0)
         except _NodeLimit:
-            pass
+            d0 = search.best_mask
     if not certified:
         value, inc_mask = gamma, d0
     else:
-        value = value_bound = None
+        value = None
         stats.forced_vertices += pins.bit_count()
         # leaves on strong supports are safe to leave out of any certified set
         inc_mask = g.full_mask & ~prof.strong_leaves
         if gamma is not None:
-            value_bound = min(
-                gamma + prof.weak.bit_count(), 2 * gamma, inc_mask.bit_count()
-            )
             if _certified(g, d0):
                 value, inc_mask = gamma, d0  # optimal, as gamma_cer >= gamma
             else:
-                # repair: give each half-shadowed weak support its leaf
-                d1 = d0
-                for s in _bits(d0):
-                    if (g.adj[s] & ~d0).bit_count() == 1 and prof.weak >> s & 1:
-                        d1 |= g.adj[s] & prof.leaves
-                if _certified(g, d1) and d1.bit_count() < inc_mask.bit_count():
-                    inc_mask = d1
+                # repair: bring in the one outside neighbour of each
+                # half-shadowed vertex; the fixpoint is certified
+                d1, add = d0, True
+                while add:
+                    add = 0
+                    for s in _bits(d1):
+                        row = g.adj[s] & ~d1
+                        if row and not row & (row - 1):
+                            add |= row
+                    d1 |= add
+                inc_mask = min(inc_mask, d1, key=int.bit_count)
         search = _Search(g, certified=True, budget=budget)
         if value is None:
             try:
-                value, inc_mask = search.solve_best(pins, 0, inc_mask, value_bound)
+                value, inc_mask = search.solve_best(pins, 0, inc_mask)
             except _NodeLimit:
-                pass
-    if value is None:
-        return inc_mask.bit_count(), inc_mask, False, gamma
-    start = budget.used
-    try:
-        return value, search.lex_first(value, pins, 0, inc_mask), True, gamma
-    except _NodeLimit:  # the witness is an optimal set: only its tie break is open
-        return value, search.best_mask, False, gamma
-    finally:
-        stats.certificate_nodes += budget.used - start
+                inc_mask = search.best_mask
+    return search, value, inc_mask, pins, gamma
 
 
 def _combine_components(g: Graph, cfg: SolverConfig, certified: bool) -> SolveResult:
@@ -483,19 +472,29 @@ def _combine_components(g: Graph, cfg: SolverConfig, certified: bool) -> SolveRe
     parts = components(g)
     if len(parts) > 1:
         stats.components_split = len(parts)
-    total = 0
-    gamma = 0
-    cert = 0
+    # every value before any tie break, so that a node limit in one
+    # component's certificate phase leaves no other value unproven
+    valued = [_component(comp, cfg, stats, budget, certified) for _, comp in parts]
+    start = budget.used
+    total = gamma = cert = 0
     proven = True
-    for vs, comp in parts:
-        order = vs.to_list()
-        val, mask, ok, part_gamma = _component(comp, cfg, stats, budget, certified)
-        total += val
+    for (vs, _), (search, value, mask, pins, part_gamma) in zip(parts, valued):
+        ok = value is not None
+        if not ok:
+            value = mask.bit_count()
+        else:
+            try:
+                mask = search.lex_first(value, pins, 0, mask)
+            except _NodeLimit:  # the witness is optimal: only its tie break is open
+                mask, ok = search.best_mask, False
+        total += value
         if gamma is not None:
             gamma = None if part_gamma is None else gamma + part_gamma
+        order = vs.to_list()
         for i in _bits(mask):
             cert |= 1 << order[i]
         proven = proven and ok
+    stats.certificate_nodes = budget.used - start
     stats.nodes_expanded = budget.used
     return SolveResult(total, VertexSet(g.n, cert), stats, proven, gamma)
 

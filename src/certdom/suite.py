@@ -32,6 +32,7 @@ from .graphs import (
     weak_supports,
 )
 from .solver import (
+    SolverConfig,
     all_min_dominating_sets,
     find_dd2_pair,
     gamma_cer_solve,
@@ -126,7 +127,7 @@ class SolveCache:
         key = (g.n, g.adj)
         got = self._mds.get(key)
         if got is None:
-            got = tuple(d.mask for d in all_min_dominating_sets(g, max_n=18))
+            got = tuple(d.mask for d in all_min_dominating_sets(g))
             self._room(self._mds)
             self._mds[key] = got
         return got
@@ -265,7 +266,8 @@ def _c_supports(g, cache):
                 return _fail(certified_set=list(_bits(mask)),
                              missing_support=list(_bits(supports & ~mask)))
         return _OK
-    cert = cache.gamma_cer_cert(g)
+    # a solve with reductions off, as the default one pins the supports in
+    cert = gamma_cer_solve(g, SolverConfig(use_reductions=False)).certificate
     return _check(supports & ~cert.mask == 0,
                   certificate=cert.to_list(),
                   missing_support=list(_bits(supports & ~cert.mask)))

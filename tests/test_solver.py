@@ -196,6 +196,99 @@ def test_node_limit_in_certificate_phase_keeps_proven_value():
         assert len(res.certificate) == full.value
 
 
+def test_node_limit_keeps_the_best_set_found():
+    # a limit inside either value search returns the best set that search
+    # found, not the incumbent it started from (the greedy cover in gamma
+    # mode, the leaf-trimmed vertex set in certified mode)
+    import random
+
+    from certdom.graphs import leaf_profile
+
+    g = random_graph(45, 0.1, random.Random(23))
+    assert not leaf_profile(g).leaves  # the value phase pins nothing here
+    cut = SolverConfig(node_limit=1000)
+    res = gamma_solve(g, cut)
+    assert not res.proven and res.value == gamma_solve(g).value == 10
+    assert is_dominating(g, res.certificate)
+    plain = gamma_cer_solve(g, SolverConfig(use_reductions=False, node_limit=1000))
+    assert not plain.proven and plain.value == gamma_cer_solve(g).value == 10
+    assert is_certified_dominating(g, plain.certificate)
+
+
+def _tree_gamma(g: Graph) -> int:
+    """Domination number of a forest by the linear tree DP (Cockayne,
+    Goodman & Hedetniemi 1975): per rooted subtree, the fewest vertices with
+    the root in the set, out but dominated, or out and left to its parent."""
+    nbrs = [[u for u in range(g.n) if g.adj[v] >> u & 1] for v in range(g.n)]
+    parent = [None] * g.n
+    total = 0
+    for root in range(g.n):
+        if parent[root] is not None:
+            continue
+        parent[root] = -1
+        order = [root]
+        for v in order:
+            for u in nbrs[v]:
+                if parent[u] is None:
+                    parent[u] = v
+                    order.append(u)
+        inn, dom, free = {}, {}, {}
+        for v in reversed(order):
+            kids = [u for u in nbrs[v] if parent[u] == v]
+            inn[v] = 1 + sum(min(inn[u], dom[u], free[u]) for u in kids)
+            settle = sum(min(inn[u], dom[u]) for u in kids)
+            dom[v] = settle + min((inn[u] - min(inn[u], dom[u]) for u in kids),
+                                  default=g.n + 1)
+            free[v] = sum(dom[u] for u in kids)
+        total += min(inn[root], dom[root])
+    return total
+
+
+def _random_tree_edges(n: int, rng, off: int = 0) -> list[tuple[int, int]]:
+    return [(off + v, off + rng.randrange(v)) for v in range(1, n)]
+
+
+def test_gamma_on_trees_matches_the_tree_dp():
+    # the leaf-free value phase proves gamma on trees within the sparse
+    # workload's node limit, in both solves
+    import random
+
+    rng = random.Random(20261018)
+    graphs = [Graph.from_edges(n, _random_tree_edges(n, rng)) for n in (50, 200, 800)]
+    edges, n = [], 0
+    for size in (1, 2, 3, 7, 20, 45, 90):  # a forest, K1 and K2 included
+        edges += _random_tree_edges(size, rng, n)
+        n += size
+    graphs.append(Graph.from_edges(n, edges))
+    cut = SolverConfig(node_limit=3000)
+    for g in graphs:
+        want = _tree_gamma(g)
+        res = gamma_solve(g, cut)
+        assert res.value == res.gamma == want
+        assert gamma_cer_solve(g, cut).gamma == want
+
+
+def test_gamma_on_a_tree_corona_is_proven_with_the_lex_first_set():
+    # taking the lower of each base/pendant pair gives the lex-smallest
+    # gamma-set: the bases, as corona() numbers them first
+    import random
+
+    from conftest import relabel
+
+    rng = random.Random(7)
+    base = Graph.from_edges(100, _random_tree_edges(100, rng))
+    g = corona(base, complete_graph(1))
+    cut = SolverConfig(node_limit=3000)
+    res = gamma_solve(g, cut)
+    assert res.proven and res.value == res.gamma == 100 == _tree_gamma(g)
+    assert res.certificate.to_list() == list(range(100))
+    # relabeled, the value still comes from the leaf-free value phase
+    perm = list(range(200))
+    rng.shuffle(perm)
+    res = gamma_solve(relabel(g, perm), cut)
+    assert res.value == res.gamma == 100
+
+
 def test_solver_value_never_n_minus_1(rng):
     for _ in range(200):
         g = random_graph(rng.randrange(0, 9), rng.random(), rng)

@@ -154,3 +154,22 @@ def test_theorem_report_json_shape():
     json.loads(line)
     assert obj["failed"] == []
     assert [c["claim"] for c in obj["claims"]] == ["OBS2.1", "THM5.3"]
+
+
+def test_supports_claim_above_n12_reads_an_unpinned_solve(monkeypatch):
+    # OBS3.1 (every support is in every certified set) must not be checked
+    # against a solve that pins the supports in
+    from certdom import Graph, solver
+
+    seen = []
+    combine = solver._combine_components
+
+    def recorded(g, cfg, certified):
+        seen.append(cfg.use_reductions)
+        return combine(g, cfg, certified)
+
+    monkeypatch.setattr(solver, "_combine_components", recorded)
+    tree = Graph.from_edges(14, [(v, (v - 1) // 2) for v in range(1, 14)])
+    (outcome,) = evaluate_graph(tree, claims=("OBS3.1",)).to_json_obj()["claims"]
+    assert outcome["applicable"] and outcome["holds"]
+    assert seen == [False]
