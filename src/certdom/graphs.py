@@ -274,10 +274,12 @@ def components(g: Graph) -> tuple[tuple[VertexSet, Graph], ...]:
     Components are listed by ascending smallest vertex; inside each induced
     subgraph the vertices are reindexed 0..k-1 in ascending original order.
     A connected graph is its own single component.  The result is memoized
-    on g.
+    on g; for a connected graph the memo is only its vertex set, since a memo
+    holding g would be a reference cycle that only the cyclic GC frees.
     """
-    if g._comps is not None:
-        return g._comps
+    memo = g._comps
+    if memo is not None:
+        return ((memo, g),) if isinstance(memo, VertexSet) else memo
     seen = 0
     out = []
     for v in range(g.n):
@@ -293,7 +295,10 @@ def components(g: Graph) -> tuple[tuple[VertexSet, Graph], ...]:
             comp |= frontier
         seen |= comp
         vs = VertexSet(g.n, comp)
-        out.append((vs, g if comp == g.full_mask else induced_subgraph(g, vs)))
+        if comp == g.full_mask:
+            object.__setattr__(g, "_comps", vs)
+            return ((vs, g),)
+        out.append((vs, induced_subgraph(g, vs)))
     comps = tuple(out)
     object.__setattr__(g, "_comps", comps)
     return comps

@@ -8,9 +8,14 @@ Two independent routes are provided:
 
 * ``gamma_solve`` / ``gamma_cer_solve`` run a reduction-aware branch and
   bound per connected component, branching on the closed neighbourhood of an
-  undominated vertex and pruning with a greedy disjoint-closed-neighbourhood
-  packing bound.  Both share one leaf-free value phase, which proves the
-  domination number with the leaves pinned out and the supports in (a
+  undominated vertex.  It prunes with the larger of two lower bounds, both
+  feasible solutions of the dual of the domination LP: a greedy packing of
+  undominated vertices with disjoint allowed dominators, and a fractional
+  packing that weighs each undominated vertex by one over the most
+  undominated vertices any of its allowed dominators covers (van Rooij &
+  Bodlaender 2011).  Every certified set dominates, so both bound the
+  certified search too.  Both share one leaf-free value phase, which proves
+  the domination number with the leaves pinned out and the supports in (a
   support stands in for its leaf).  The certified solve runs it first and
   uses the result as an incumbent, so one certified solve returns both
   numbers.  It then pre-pins support vertices (certified sets must contain
@@ -36,6 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heapreplace
 from itertools import combinations
+from math import lcm
 from typing import Iterator
 
 from .domination import DD2Pair, _certified, _dominates, is_2dominating
@@ -55,6 +61,9 @@ class SolveStats:
     components_split: int = 0
     closed_form_hits: int = 0  # always 0: no value comes from a closed form
     certificate_nodes: int = 0  # the share of nodes_expanded spent in lex_first
+    packing_prunes: int = 0  # nodes cut by the greedy packing bound
+    fractional_prunes: int = 0  # nodes cut by the fractional packing bound alone
+    dead_ends: int = 0  # branches propagation proved infeasible
 
     def as_dict(self) -> dict[str, int]:
         return {
@@ -63,6 +72,9 @@ class SolveStats:
             "components_split": self.components_split,
             "closed_form_hits": self.closed_form_hits,
             "certificate_nodes": self.certificate_nodes,
+            "packing_prunes": self.packing_prunes,
+            "fractional_prunes": self.fractional_prunes,
+            "dead_ends": self.dead_ends,
         }
 
 
@@ -185,11 +197,14 @@ class _Hit(Exception):
 
 
 class _Budget:
-    __slots__ = ("limit", "used")
+    """Node budget of one solve, with its prune counts."""
+
+    __slots__ = ("limit", "used", "packing_prunes", "fractional_prunes", "dead_ends")
 
     def __init__(self, limit: int | None):
         self.limit = limit
         self.used = 0
+        self.packing_prunes = self.fractional_prunes = self.dead_ends = 0
 
     def tick(self) -> None:
         self.used += 1
@@ -215,95 +230,137 @@ class _Search:
 
     # -- shared machinery ---------------------------------------------------
 
-    def _propagate(self, in_mask: int, out_mask: int):
+    def _cover(self, in_mask: int) -> int:
+        """Union of N[v] over v in ``in_mask``."""
+        closed = self.closed
+        covered = 0
+        while in_mask:
+            low = in_mask & -in_mask
+            in_mask ^= low
+            covered |= closed[low.bit_length() - 1]
+        return covered
+
+    def _propagate(self, in_mask: int, out_mask: int, covered: int):
         """Fixpoint of forced moves; None on a proven dead end.
 
-        Rules: an undominated vertex with no allowed dominator kills the
-        branch, with a single allowed dominator forces it in; a chosen vertex
-        with exactly one decided-out neighbour and no undecided ones is stuck
-        half-shadowed (dead), with one undecided neighbour left that
-        neighbour is forced out (one decided-out) or in (none decided-out).
-        Returns (in_mask, out_mask, covered).
+        ``covered`` is the union of N[v] over v in ``in_mask``, kept up to
+        date as vertices are forced in.  Rules: an undominated vertex with no
+        allowed dominator kills the branch, with a single allowed dominator
+        forces it in; a chosen vertex with exactly one decided-out neighbour
+        and no undecided ones is stuck half-shadowed (dead), with one
+        undecided neighbour left that neighbour is forced out (one
+        decided-out) or in (none decided-out).  One scan forces in every
+        single-dominator vertex: a vertex forced earlier in the scan covers
+        only undominated vertices it is a candidate of, so the fixpoint is
+        that of forcing one at a time.  Returns (in_mask, out_mask, covered).
         """
         adj = self.adj
         closed = self.closed
         full = self.full
-        certified = self.certified
         while True:
-            covered = in_mask
+            allowed = full ^ out_mask
+            m = full ^ covered
+            while m:
+                low = m & -m
+                m ^= low
+                cand = closed[low.bit_length() - 1] & allowed
+                if cand == 0:
+                    self.budget.dead_ends += 1
+                    return None
+                if not cand & (cand - 1):
+                    in_mask |= cand
+                    row = closed[cand.bit_length() - 1]
+                    covered |= row
+                    m &= ~row
+            if not self.certified:
+                return in_mask, out_mask, covered
+            # the certified rules restart from the lowest chosen vertex after
+            # each move; only a move out can leave a vertex without dominators
+            undec = allowed ^ in_mask
             m = in_mask
             while m:
                 low = m & -m
                 m ^= low
-                covered |= adj[low.bit_length() - 1]
-            forced = False
-            m = full & ~covered
-            while m:
-                low = m & -m
-                m ^= low
-                cand = closed[low.bit_length() - 1] & ~out_mask
-                if cand == 0:
-                    return None
-                if not cand & (cand - 1):
-                    in_mask |= cand
-                    forced = True
-                    break
-            if forced:
-                continue
-            if certified:
-                undec = full & ~in_mask & ~out_mask
-                m = in_mask
-                while m:
-                    low = m & -m
-                    m ^= low
-                    row = adj[low.bit_length() - 1]
-                    a_mask = row & out_mask
-                    a = a_mask.bit_count()
-                    if a >= 2:
-                        continue
-                    b_mask = row & undec
-                    b = b_mask.bit_count()
-                    if a == 1:
-                        if b == 0:
-                            return None
-                        if b == 1:
-                            out_mask |= b_mask
-                            forced = True
-                            break
-                    elif b == 1:
-                        in_mask |= b_mask
-                        forced = True
-                        break
-                if forced:
+                row = adj[low.bit_length() - 1]
+                a_mask = row & out_mask
+                if a_mask & (a_mask - 1):
                     continue
-            return in_mask, out_mask, covered
+                b_mask = row & undec
+                if b_mask & (b_mask - 1):
+                    continue
+                if a_mask:
+                    if not b_mask:
+                        self.budget.dead_ends += 1
+                        return None
+                    out_mask |= b_mask
+                    break
+                if b_mask:
+                    in_mask |= b_mask
+                    covered |= closed[b_mask.bit_length() - 1]
+                    undec ^= b_mask
+                    m = in_mask
+            else:
+                return in_mask, out_mask, covered
 
-    def _pack_bound(self, out_mask: int, covered: int) -> int:
-        """Greedy disjoint-closed-neighbourhood packing over undominated vertices."""
+    def _pack_bound(self, out_mask: int, covered: int, need: int) -> int:
+        """Lower bound on the vertices still needed to dominate the
+        undominated set U: the larger of two dual-feasible packings of the
+        domination LP.  The greedy one takes undominated vertices with
+        pairwise disjoint allowed dominator sets, in index order, each of
+        weight 1.  The fractional one, computed only when the greedy count is
+        below ``need``, weighs each u in U by 1/k_u, where k_u is the most
+        of U that one of u's allowed dominators v covers; every allowed v
+        then covers weight at most 1, so the rounded-up total bounds the
+        vertices needed.  Certified sets dominate, so both bound either
+        search."""
         closed = self.closed
-        used = 0
-        count = 0
-        m = self.full & ~covered
+        allowed = self.full ^ out_mask
+        undom = self.full ^ covered
+        used = dom = count = 0
+        m = undom
         while m:
             low = m & -m
             m ^= low
-            cand = closed[low.bit_length() - 1] & ~out_mask
-            if cand & used == 0:
+            cand = closed[low.bit_length() - 1] & allowed
+            dom |= cand
+            if not cand & used:
                 used |= cand
                 count += 1
-        return count
+        if count >= need:
+            self.budget.packing_prunes += 1
+            return count
+        # a vertex of U first reached from the level t of dominators covering
+        # t vertices of U, taken from the largest t down, has k_u = t
+        levels: dict[int, int] = {}
+        while dom:
+            v = dom.bit_length() - 1
+            dom ^= 1 << v
+            row = closed[v] & undom
+            t = row.bit_count()
+            levels[t] = levels.get(t, 0) | row
+        denom = lcm(*levels)
+        num = 0
+        for t in sorted(levels, reverse=True):
+            row = levels[t] & undom
+            undom ^= row
+            num += row.bit_count() * (denom // t)
+        frac = -(-num // denom)
+        if frac >= need:
+            self.budget.fractional_prunes += 1
+        return max(count, frac)
 
     def _branch_vertex(self, out_mask: int, covered: int) -> int:
         """Undominated vertex with the fewest allowed dominators (ties: lowest)."""
         best_u = -1
         best_c = self.n + 2
-        m = self.full & ~covered
+        allowed = self.full ^ out_mask
+        m = self.full ^ covered
         closed = self.closed
         while m:
             low = m & -m
             m ^= low
             u = low.bit_length() - 1
-            c = (closed[u] & ~out_mask).bit_count()
+            c = (closed[u] & allowed).bit_count()
             if c < best_c:
                 best_u, best_c = u, c
                 if c <= 2:
@@ -318,12 +375,12 @@ class _Search:
         self.best_val = inc_mask.bit_count()
         self.best_mask = inc_mask
         self.first_hit = False
-        self._descend_best(in0, out0)
+        self._descend_best(in0, out0, self._cover(in0))
         return self.best_val, self.best_mask
 
-    def _descend_best(self, in_mask: int, out_mask: int) -> None:
+    def _descend_best(self, in_mask: int, out_mask: int, covered: int) -> None:
         self.budget.tick()
-        state = self._propagate(in_mask, out_mask)
+        state = self._propagate(in_mask, out_mask, covered)
         if state is None:
             return
         in_mask, out_mask, covered = state
@@ -338,26 +395,27 @@ class _Search:
             if self.first_hit:
                 raise _Hit
             return
-        lb = size + self._pack_bound(out_mask, covered)
-        if lb >= self.best_val:
+        need = self.best_val - size
+        if self._pack_bound(out_mask, covered, need) >= need:
             return
-        u = self._branch_vertex(out_mask, covered)
-        cand = self.closed[u] & ~out_mask
+        closed = self.closed
+        cand = closed[self._branch_vertex(out_mask, covered)] & ~out_mask
         excl = 0
         while cand:
             low = cand & -cand
             cand ^= low
-            self._descend_best(in_mask | low, out_mask | excl)
+            self._descend_best(in_mask | low, out_mask | excl,
+                               covered | closed[low.bit_length() - 1])
             excl |= low
 
     # -- phase 2: lexicographically smallest optimum -------------------------
 
-    def _any_within(self, size: int, in_mask: int, out_mask: int) -> bool:
+    def _any_within(self, size: int, in_mask: int, out_mask: int, covered: int) -> bool:
         """First-hit search for a set of at most ``size`` within the pins."""
         self.best_val = size + 1
         self.first_hit = True
         try:
-            self._descend_best(in_mask, out_mask)
+            self._descend_best(in_mask, out_mask, covered)
         except _Hit:
             return True
         return False
@@ -369,17 +427,20 @@ class _Search:
         it or a first-hit search finds a new witness with it, and pinned out
         otherwise.  ``best_mask`` keeps the witness."""
         self.best_mask = witness
+        covered = self._cover(in_mask)
         while True:
-            state = self._propagate(in_mask, out_mask)
+            state = self._propagate(in_mask, out_mask, covered)
             if state is None:
                 raise AssertionError("no certificate at the proven optimum; solver bug")
-            in_mask, out_mask, _ = state
+            in_mask, out_mask, covered = state
             undec = self.full & ~in_mask & ~out_mask
             if not undec & ~self.best_mask or in_mask.bit_count() == size:
                 return in_mask | undec & self.best_mask
             low = undec & -undec
-            if low & self.best_mask or self._any_within(size, in_mask | low, out_mask):
+            with_low = covered | self.closed[low.bit_length() - 1]
+            if low & self.best_mask or self._any_within(size, in_mask | low, out_mask, with_low):
                 in_mask |= low
+                covered = with_low
             else:
                 out_mask |= low
 
@@ -496,6 +557,9 @@ def _combine_components(g: Graph, cfg: SolverConfig, certified: bool) -> SolveRe
         proven = proven and ok
     stats.certificate_nodes = budget.used - start
     stats.nodes_expanded = budget.used
+    stats.packing_prunes = budget.packing_prunes
+    stats.fractional_prunes = budget.fractional_prunes
+    stats.dead_ends = budget.dead_ends
     return SolveResult(total, VertexSet(g.n, cert), stats, proven, gamma)
 
 

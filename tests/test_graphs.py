@@ -1,4 +1,5 @@
 import pickle
+import sys
 
 import pytest
 
@@ -238,7 +239,12 @@ def test_derived_graphs_equal_validated_rebuild(rng):
 
 def test_components_memoized_and_connected_graph_is_its_own_part():
     c6 = cycle_graph(6)
-    assert components(c6) is components(c6)
+    refs = sys.getrefcount(c6)
+    components(c6)
+    # a connected graph memoizes its vertex set, not a tuple holding itself,
+    # which would be a reference cycle
+    assert sys.getrefcount(c6) == refs
+    assert components(c6)[0][0] is components(c6)[0][0]
     (vs, comp), = components(c6)
     assert vs == VertexSet.full(6) and comp is c6
     two = Graph.from_edges(4, [(0, 1), (2, 3)])

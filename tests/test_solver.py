@@ -155,13 +155,16 @@ def test_certificate_contains_all_supports(rng):
 
 
 def test_node_limit_flags_unproven():
-    g = random_graph(9, 0.5, __import__("random").Random(7))
-    full = gamma_cer_solve(g)
-    res = gamma_cer_solve(g, SolverConfig(node_limit=1))
-    assert not res.proven
-    assert is_certified_dominating(g, res.certificate)
-    assert res.value >= full.value
-    assert len(res.certificate) == res.value
+    g = _seeded_gnp_40()
+    for solve, valid in ((gamma_cer_solve, is_certified_dominating),
+                         (gamma_solve, is_dominating)):
+        full = solve(g)
+        assert full.stats.nodes_expanded > 1  # a 1-node limit really cuts
+        res = solve(g, SolverConfig(node_limit=1))
+        assert not res.proven
+        assert valid(g, res.certificate)
+        assert res.value >= full.value
+        assert len(res.certificate) == res.value
 
 
 def _seeded_gnp_40():
@@ -174,12 +177,97 @@ def _seeded_gnp_40():
     return g
 
 
+_STATS_KEYS = ["nodes_expanded", "forced_vertices", "components_split",
+               "closed_form_hits", "certificate_nodes", "packing_prunes",
+               "fractional_prunes", "dead_ends"]
+
+
 def test_certificate_nodes_count_the_lex_phase():
     g = _seeded_gnp_40()
     for solve in (gamma_cer_solve, gamma_solve):
         stats = solve(g).stats
         assert 0 < stats.certificate_nodes <= stats.nodes_expanded
-        assert list(stats.as_dict())[-1] == "certificate_nodes"
+        assert list(stats.as_dict()) == _STATS_KEYS
+
+
+def test_prune_counts_show_the_fractional_bound_at_work():
+    g = _seeded_gnp_40()
+    for solve in (gamma_cer_solve, gamma_solve):
+        stats = solve(g).stats
+        assert stats.fractional_prunes > 0
+        # every pruned node was expanded first
+        assert stats.packing_prunes + stats.fractional_prunes <= stats.nodes_expanded
+    # propagation cuts branches of the certified search that cannot be certified
+    assert gamma_cer_solve(fig1_graph(3), SolverConfig(use_reductions=False)).stats.dead_ends > 0
+
+
+def test_both_solves_on_a_dense_gnp_stay_small():
+    # the fractional bound settles most failed first-hit queries of the
+    # certificate phase; the greedy packing alone needs 1,523 nodes here
+    g = _seeded_gnp_40()
+    for solve in (gamma_cer_solve, gamma_solve):
+        assert solve(g).stats.nodes_expanded <= 600
+
+
+def _search(g, certified):
+    from certdom import solver
+
+    return solver._Search(g, certified, solver._Budget(None))
+
+
+def test_fractional_bound_beats_the_greedy_packing_on_c7():
+    # every closed neighbourhood of C7 holds 3 of its 7 vertices, so the
+    # weights 1/3 sum to 7/3: at least 3 vertices, where greedy packs 2
+    search = _search(cycle_graph(7), False)
+    assert search._pack_bound(0, 0, 2) == 2  # the greedy count meets need
+    assert search._pack_bound(0, 0, 7) == 3 == gamma_oracle(cycle_graph(7)).value
+
+
+def _pinned_minimum(g, in_mask, out_mask, valid):
+    """Smallest valid set holding in_mask and avoiding out_mask, or None."""
+    free = g.full_mask & ~in_mask & ~out_mask
+    best = None
+    sub = free
+    while True:  # every subset of free, the empty one last
+        mask = in_mask | sub
+        if (best is None or mask.bit_count() < best) and valid(g, mask):
+            best = mask.bit_count()
+        if not sub:
+            return best
+        sub = (sub - 1) & free
+
+
+def test_propagation_and_bound_are_sound_under_pins():
+    # size + bound never exceeds the best completion of the pins, and a
+    # dead end has none, in both modes; certified mode against the
+    # certified minimum
+    import random
+
+    from certdom.domination import _certified, _dominates
+
+    rng = random.Random(20261018)
+    graphs = [g for n in range(7) for g in enumerate_labeled_graphs(n)]
+    graphs += [random_graph(rng.randrange(7, 11), rng.choice((0.15, 0.3, 0.5)), rng)
+               for _ in range(300)]
+    for g in graphs:
+        in_mask = out_mask = 0
+        for v in range(g.n):
+            r = rng.random()
+            if r < 0.2:
+                in_mask |= 1 << v
+            elif r < 0.45:
+                out_mask |= 1 << v
+        for certified, valid in ((False, _dominates), (True, _certified)):
+            search = _search(g, certified)
+            best = _pinned_minimum(g, in_mask, out_mask, valid)
+            state = search._propagate(in_mask, out_mask, search._cover(in_mask))
+            if state is None:
+                assert best is None, g
+                continue
+            if best is not None:  # propagation need not find every dead end
+                pinned_in, pinned_out, covered = state
+                bound = search._pack_bound(pinned_out, covered, g.n + 1)
+                assert pinned_in.bit_count() + bound <= best, g
 
 
 def test_node_limit_in_certificate_phase_keeps_proven_value():
@@ -382,13 +470,11 @@ def test_closed_form_tables_checked_by_an_independent_search(monkeypatch):
     coronas = [corona(h, complete_graph(1))
                for h in (path_graph(1), path_graph(4), cycle_graph(5), wheel_graph(6))]
     cases += [(g, g.n) for g in coronas]
-    keys = ["nodes_expanded", "forced_vertices", "components_split",
-            "closed_form_hits", "certificate_nodes"]
     for g, table in cases:
         res = gamma_cer_solve(g)
         assert res.value == table, g
         assert res.stats.closed_form_hits == 0
-        assert list(res.stats.as_dict()) == keys
+        assert list(res.stats.as_dict()) == _STATS_KEYS
 
 
 def _eager_greedy_cover(g, out_mask):
