@@ -38,7 +38,7 @@ break.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from heapq import heapify, heappop, heapreplace
 from itertools import combinations
 from math import lcm
@@ -56,9 +56,11 @@ class SizeLimitError(ValueError):
 
 @dataclass
 class SolveStats:
+    """Counters of one solve; ``as_dict`` keeps the field order."""
+
     nodes_expanded: int = 0
-    forced_vertices: int = 0
-    components_split: int = 0
+    forced_vertices: int = 0  # supports the certified solve pins in, not propagation moves
+    components_split: int = 0  # the number of components; 0 for a connected graph
     closed_form_hits: int = 0  # always 0: no value comes from a closed form
     certificate_nodes: int = 0  # the share of nodes_expanded spent in lex_first
     packing_prunes: int = 0  # nodes cut by the greedy packing bound
@@ -66,16 +68,7 @@ class SolveStats:
     dead_ends: int = 0  # branches propagation proved infeasible
 
     def as_dict(self) -> dict[str, int]:
-        return {
-            "nodes_expanded": self.nodes_expanded,
-            "forced_vertices": self.forced_vertices,
-            "components_split": self.components_split,
-            "closed_form_hits": self.closed_form_hits,
-            "certificate_nodes": self.certificate_nodes,
-            "packing_prunes": self.packing_prunes,
-            "fractional_prunes": self.fractional_prunes,
-            "dead_ends": self.dead_ends,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -196,37 +189,25 @@ class _Hit(Exception):
     """Stops a first-hit search at its first qualifying set."""
 
 
-class _Budget:
-    """Node budget of one solve, with its prune counts."""
-
-    __slots__ = ("limit", "used", "packing_prunes", "fractional_prunes", "dead_ends")
-
-    def __init__(self, limit: int | None):
-        self.limit = limit
-        self.used = 0
-        self.packing_prunes = self.fractional_prunes = self.dead_ends = 0
-
-    def tick(self) -> None:
-        self.used += 1
-        if self.limit is not None and self.used > self.limit:
-            raise _NodeLimit
-
-
 class _Search:
-    """In/out decision search over one graph's vertices, on raw bitmasks."""
+    """In/out decision search over one graph's vertices, on raw bitmasks.
+    One search serves every phase of a component; the certified solve turns
+    ``certified`` on after the value phase.  Nodes and prunes are counted on
+    the solve's ``stats``, and the node past ``limit`` raises _NodeLimit."""
 
     __slots__ = (
-        "adj", "closed", "n", "full", "certified", "budget",
-        "best_val", "best_mask", "first_hit",
+        "adj", "closed", "full", "certified", "stats", "limit",
+        "best_val", "best_mask", "first_hit", "branch",
     )
 
-    def __init__(self, g: Graph, certified: bool, budget: _Budget):
+    def __init__(self, g: Graph, certified: bool, stats: SolveStats,
+                 limit: int | None = None):
         self.adj = g.adj
         self.closed = tuple(g.adj[v] | 1 << v for v in range(g.n))
-        self.n = g.n
         self.full = g.full_mask
         self.certified = certified
-        self.budget = budget
+        self.stats = stats
+        self.limit = limit
 
     # -- shared machinery ---------------------------------------------------
 
@@ -265,7 +246,7 @@ class _Search:
                 m ^= low
                 cand = closed[low.bit_length() - 1] & allowed
                 if cand == 0:
-                    self.budget.dead_ends += 1
+                    self.stats.dead_ends += 1
                     return None
                 if not cand & (cand - 1):
                     in_mask |= cand
@@ -290,7 +271,7 @@ class _Search:
                     continue
                 if a_mask:
                     if not b_mask:
-                        self.budget.dead_ends += 1
+                        self.stats.dead_ends += 1
                         return None
                     out_mask |= b_mask
                     break
@@ -312,11 +293,14 @@ class _Search:
         of U that one of u's allowed dominators v covers; every allowed v
         then covers weight at most 1, so the rounded-up total bounds the
         vertices needed.  Certified sets dominate, so both bound either
-        search."""
+        search.  The greedy scan also sets ``branch`` to the allowed
+        dominators of the lowest vertex of U with the fewest; propagation
+        leaves each at least two, so the first with two is that vertex."""
         closed = self.closed
         allowed = self.full ^ out_mask
         undom = self.full ^ covered
         used = dom = count = 0
+        fewest = len(closed) + 1
         m = undom
         while m:
             low = m & -m
@@ -326,8 +310,12 @@ class _Search:
             if not cand & used:
                 used |= cand
                 count += 1
+            if fewest > 2:
+                c = cand.bit_count()
+                if c < fewest:
+                    fewest, self.branch = c, cand
         if count >= need:
-            self.budget.packing_prunes += 1
+            self.stats.packing_prunes += 1
             return count
         # a vertex of U first reached from the level t of dominators covering
         # t vertices of U, taken from the largest t down, has k_u = t
@@ -346,26 +334,8 @@ class _Search:
             num += row.bit_count() * (denom // t)
         frac = -(-num // denom)
         if frac >= need:
-            self.budget.fractional_prunes += 1
+            self.stats.fractional_prunes += 1
         return max(count, frac)
-
-    def _branch_vertex(self, out_mask: int, covered: int) -> int:
-        """Undominated vertex with the fewest allowed dominators (ties: lowest)."""
-        best_u = -1
-        best_c = self.n + 2
-        allowed = self.full ^ out_mask
-        m = self.full ^ covered
-        closed = self.closed
-        while m:
-            low = m & -m
-            m ^= low
-            u = low.bit_length() - 1
-            c = (closed[u] & allowed).bit_count()
-            if c < best_c:
-                best_u, best_c = u, c
-                if c <= 2:
-                    break
-        return best_u
 
     # -- phase 1: optimal value ----------------------------------------------
 
@@ -379,7 +349,10 @@ class _Search:
         return self.best_val, self.best_mask
 
     def _descend_best(self, in_mask: int, out_mask: int, covered: int) -> None:
-        self.budget.tick()
+        stats = self.stats
+        stats.nodes_expanded += 1
+        if self.limit is not None and stats.nodes_expanded > self.limit:
+            raise _NodeLimit
         state = self._propagate(in_mask, out_mask, covered)
         if state is None:
             return
@@ -399,7 +372,7 @@ class _Search:
         if self._pack_bound(out_mask, covered, need) >= need:
             return
         closed = self.closed
-        cand = closed[self._branch_vertex(out_mask, covered)] & ~out_mask
+        cand = self.branch
         excl = 0
         while cand:
             low = cand & -cand
@@ -470,7 +443,7 @@ class _Search:
 
 
 def _component(
-    g: Graph, cfg: SolverConfig, stats: SolveStats, budget: _Budget, certified: bool
+    g: Graph, cfg: SolverConfig, stats: SolveStats, certified: bool
 ) -> tuple[_Search, int | None, int, int, int | None]:
     """(search, value, best set, pins, gamma) for one connected component;
     the value is None when a node limit cut its search.
@@ -478,17 +451,17 @@ def _component(
     The value phase, the same in both modes (certified mode runs it only
     with reductions on), proves gamma with the leaves pinned out, harmless
     for n >= 3 as a support stands in for its leaf.  In gamma mode its
-    optimum is the value; certified mode turns it into an incumbent.  After
-    a node limit the best set found stands; otherwise the optimal set
-    returned seeds ``search.lex_first`` under the pins.
+    optimum is the value; certified mode turns it into an incumbent and
+    switches the same search to the certified rules.  After a node limit
+    the best set found stands; otherwise the optimal set returned seeds
+    ``search.lex_first`` under the pins.
     """
     prof = leaf_profile(g)
     supports = supports_mask(g)
-    pins = supports if certified and cfg.use_reductions else 0
+    search = _Search(g, False, stats, cfg.node_limit)
     gamma = None
     if not certified or cfg.use_reductions:
         forbid = prof.leaves if g.n >= 3 else 0
-        search = _Search(g, certified=False, budget=budget)
         d0 = search.greedy_cover(forbid)
         try:
             # with the leaves out every support is forced in; pinning them
@@ -497,46 +470,42 @@ def _component(
         except _NodeLimit:
             d0 = search.best_mask
     if not certified:
-        value, inc_mask = gamma, d0
-    else:
-        value = None
-        stats.forced_vertices += pins.bit_count()
-        # leaves on strong supports are safe to leave out of any certified set
-        inc_mask = g.full_mask & ~prof.strong_leaves
-        if gamma is not None:
-            if _certified(g, d0):
-                value, inc_mask = gamma, d0  # optimal, as gamma_cer >= gamma
-            else:
-                # repair: bring in the one outside neighbour of each
-                # half-shadowed vertex; the fixpoint is certified
-                d1, add = d0, True
-                while add:
-                    add = 0
-                    for s in _bits(d1):
-                        row = g.adj[s] & ~d1
-                        if row and not row & (row - 1):
-                            add |= row
-                    d1 |= add
-                inc_mask = min(inc_mask, d1, key=int.bit_count)
-        search = _Search(g, certified=True, budget=budget)
-        if value is None:
-            try:
-                value, inc_mask = search.solve_best(pins, 0, inc_mask)
-            except _NodeLimit:
-                inc_mask = search.best_mask
+        return search, gamma, d0, 0, gamma
+    search.certified = True
+    pins = supports if cfg.use_reductions else 0
+    stats.forced_vertices += pins.bit_count()
+    # leaves on strong supports are safe to leave out of any certified set
+    inc_mask = g.full_mask & ~prof.strong_leaves
+    if gamma is not None:
+        if _certified(g, d0):
+            return search, gamma, d0, pins, gamma  # optimal, as gamma_cer >= gamma
+        # repair: bring in the one outside neighbour of each half-shadowed
+        # vertex; the fixpoint is certified
+        d1, add = d0, True
+        while add:
+            add = 0
+            for s in _bits(d1):
+                row = g.adj[s] & ~d1
+                if row and not row & (row - 1):
+                    add |= row
+            d1 |= add
+        inc_mask = min(inc_mask, d1, key=int.bit_count)
+    try:
+        value, inc_mask = search.solve_best(pins, 0, inc_mask)
+    except _NodeLimit:
+        value, inc_mask = None, search.best_mask
     return search, value, inc_mask, pins, gamma
 
 
 def _combine_components(g: Graph, cfg: SolverConfig, certified: bool) -> SolveResult:
     stats = SolveStats()
-    budget = _Budget(cfg.node_limit)
     parts = components(g)
     if len(parts) > 1:
         stats.components_split = len(parts)
     # every value before any tie break, so that a node limit in one
     # component's certificate phase leaves no other value unproven
-    valued = [_component(comp, cfg, stats, budget, certified) for _, comp in parts]
-    start = budget.used
+    valued = [_component(comp, cfg, stats, certified) for _, comp in parts]
+    start = stats.nodes_expanded
     total = gamma = cert = 0
     proven = True
     for (vs, _), (search, value, mask, pins, part_gamma) in zip(parts, valued):
@@ -555,11 +524,7 @@ def _combine_components(g: Graph, cfg: SolverConfig, certified: bool) -> SolveRe
         for i in _bits(mask):
             cert |= 1 << order[i]
         proven = proven and ok
-    stats.certificate_nodes = budget.used - start
-    stats.nodes_expanded = budget.used
-    stats.packing_prunes = budget.packing_prunes
-    stats.fractional_prunes = budget.fractional_prunes
-    stats.dead_ends = budget.dead_ends
+    stats.certificate_nodes = stats.nodes_expanded - start
     return SolveResult(total, VertexSet(g.n, cert), stats, proven, gamma)
 
 

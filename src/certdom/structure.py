@@ -33,7 +33,6 @@ class StructureClass:
     m: int = 0
     vertex: int | None = None
     base: VertexSet | None = None
-    support: int | None = None
 
     def __repr__(self) -> str:
         parts = [self.kind]
@@ -43,8 +42,6 @@ class StructureClass:
             parts.append(str(self.n))
         if self.vertex is not None:
             parts.append(f"vertex={self.vertex}")
-        if self.support is not None:
-            parts.append(f"support={self.support}")
         return f"StructureClass({' '.join(parts)})"
 
 

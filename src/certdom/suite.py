@@ -25,6 +25,7 @@ from .graphs import (
     complement,
     components,
     encode_graph6,
+    is_connected,
     leaf_profile,
     min_degree,
     parse_graph6_lines,
@@ -287,7 +288,7 @@ def _c_strong_trim(g, cache):
 
 @_claim("THM3.3", "connected: value <= gamma + |S1|")
 def _c_bound_connected(g, cache):
-    if g.n < 1 or len(components(g)) != 1:
+    if g.n < 1 or not is_connected(g):
         return _NA
     got = cache.gamma_cer(g)
     bound = cache.gamma(g) + len(weak_supports(g))
@@ -339,7 +340,7 @@ _WITNESS_N_CAP = 16
 
 @_claim("LEM4.3", "connected n >= 3: equality iff a weak-support-slack gamma-set exists")
 def _c_eq_witness_connected(g, cache):
-    if not 3 <= g.n <= _WITNESS_N_CAP or len(components(g)) != 1:
+    if not 3 <= g.n <= _WITNESS_N_CAP or not is_connected(g):
         return _NA
     eq = cache.gamma_cer(g) == cache.gamma(g)
     wit = equality_witness(g, cache.min_dom_masks(g)) is not None
@@ -369,7 +370,7 @@ def _c_eq_unique(g, cache):
 
 @_claim("LEM5.1", "connected corona: value equals n")
 def _c_corona_value(g, cache):
-    if g.n < 1 or len(components(g)) != 1 or recognize_corona(g) is None:
+    if g.n < 1 or not is_connected(g) or recognize_corona(g) is None:
         return _NA
     got = cache.gamma_cer(g)
     return _check(got == g.n, value=got, n=g.n)
@@ -407,7 +408,7 @@ def _c_value_n_minus_2(g, cache):
 
 @_claim("LEM6.1", "optimum certificate: shadowed members are weak supports or leaves")
 def _c_shadow_structure(g, cache):
-    if g.n < 2 or len(components(g)) != 1:
+    if g.n < 2 or not is_connected(g):
         return _NA
     cert = cache.gamma_cer_cert(g).mask
     prof = leaf_profile(g)
@@ -432,7 +433,7 @@ def _c_shadow_structure(g, cache):
 
 @_claim("THM6.2", "connected: adding any edge never increases the value")
 def _c_edge_add(g, cache):
-    if g.n < 2 or len(components(g)) != 1:
+    if g.n < 2 or not is_connected(g):
         return _NA
     base = cache.gamma_cer(g)
     for u in range(g.n):

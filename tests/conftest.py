@@ -3,7 +3,7 @@ from itertools import combinations
 
 import pytest
 
-from certdom import Graph, solver
+from certdom import Graph, is_connected, solver
 
 
 def relabel(g: Graph, perm: list[int]) -> Graph:
@@ -14,6 +14,18 @@ def relabel(g: Graph, perm: list[int]) -> Graph:
 def random_graph(n: int, p: float, rng: random.Random) -> Graph:
     edges = [e for e in combinations(range(n), 2) if rng.random() < p]
     return Graph.from_edges(n, edges)
+
+
+def seeded_gnp_40() -> Graph:
+    g = random_graph(40, 0.2, random.Random(3))
+    assert is_connected(g)  # one component: its phases run back to back
+    return g
+
+
+# SolveStats.as_dict keys, in their stable order
+STATS_KEYS = ["nodes_expanded", "forced_vertices", "components_split",
+              "closed_form_hits", "certificate_nodes", "packing_prunes",
+              "fractional_prunes", "dead_ends"]
 
 
 @pytest.fixture

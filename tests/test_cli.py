@@ -3,8 +3,18 @@ from pathlib import Path
 
 import pytest
 
-from certdom import build_family, encode_graph6, fig3a_graph, parse_family_spec, path_graph
+from certdom import (
+    Graph,
+    build_family,
+    encode_edge_list,
+    encode_graph6,
+    fig3a_graph,
+    parse_family_spec,
+    path_graph,
+)
 from certdom.cli import main
+
+from conftest import STATS_KEYS, seeded_gnp_40
 
 # family spec -> its exact `analyze --report bounds` output line
 _BOUNDS_GOLDEN = [
@@ -272,3 +282,120 @@ def test_unknown_flag_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["solve", "-", "--frobnicate"])
     assert exc.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# Pinned solver counts and output
+# ---------------------------------------------------------------------------
+
+def _seeded_forest():
+    # three random recursive trees of 20, 40 and 30 vertices
+    import random
+
+    rng = random.Random(3)
+    edges, base = [], 0
+    for k in (20, 40, 30):
+        edges += [(base + rng.randrange(v), base + v) for v in range(1, k)]
+        base += k
+    return Graph.from_edges(base, edges)
+
+
+# (input, extra flags, param) -> (value, proven, stats in STATS_KEYS order)
+_PINNED_SOLVES = [
+    ("fig1 3", (), "gamma-cer", (6, True, (5, 4, 0, 0, 0, 2, 0, 1))),
+    ("fig1 3", (), "gamma", (5, True, (15, 0, 0, 0, 14, 10, 0, 0))),
+    ("fig1 3", ("--no-reductions",), "gamma-cer", (6, True, (15, 0, 0, 0, 6, 1, 0, 6))),
+    ("fig1 3", ("--no-reductions",), "gamma", (5, True, (15, 0, 0, 0, 14, 10, 0, 0))),
+    ("gnp40", (), "gamma-cer", (5, True, (424, 0, 0, 0, 396, 190, 149, 0))),
+    ("gnp40", (), "gamma", (5, True, (424, 0, 0, 0, 396, 190, 149, 0))),
+    ("forest", ("--node-limit", "50"), "gamma-cer", (42, True, (26, 31, 3, 0, 11, 9, 0, 2))),
+    ("forest", ("--node-limit", "50"), "gamma", (33, False, (52, 0, 3, 0, 43, 21, 5, 0))),
+]
+
+
+def _pinned_input(name):
+    if name == "gnp40":
+        return encode_edge_list(seeded_gnp_40())
+    if name == "forest":
+        return encode_edge_list(_seeded_forest())
+    return encode_edge_list(build_family(parse_family_spec(name)))
+
+
+@pytest.mark.parametrize("name,extra,param,want", _PINNED_SOLVES,
+                         ids=[f"{n}{''.join(e)}-{p}" for n, e, p, _ in _PINNED_SOLVES])
+def test_solve_json_pins_the_exact_counts(capsys, monkeypatch, name, extra, param, want):
+    # every count of a solve, in key order; a search change that moves any
+    # of them shows here
+    code, out, _ = run_cli(
+        capsys, "solve", "-", "--json", "--param", param, *extra,
+        stdin=_pinned_input(name), monkeypatch=monkeypatch,
+    )
+    assert code == 0
+    obj = json.loads(out)
+    value, proven, counts = want
+    assert (obj["value"], obj["proven"]) == (value, proven)
+    assert list(obj["stats"].items()) == list(zip(STATS_KEYS, counts))
+
+
+def test_solve_text_output_is_pinned(capsys, monkeypatch):
+    code, out, _ = run_cli(
+        capsys, "solve", "-", stdin=_pinned_input("fig1 3"), monkeypatch=monkeypatch,
+    )
+    assert code == 0
+    assert out == ("value: 6\ncertificate: 0 1 2 5 9 13\n"
+                   "stats: nodes=5 forced=4 components=0 closed_forms=0\n")
+
+
+# sha256 of `certdom suite --n-max 5 --verbose`: every claim outcome and
+# witness on every labeled graph of order <= 5, byte for byte
+_SUITE_N5_VERBOSE_SHA256 = "64dc1c9101a8746ced7939c842db0a2c5b6fefa61fb145928a2b77881df0cc5e"
+
+
+def test_suite_verbose_output_is_byte_identical(capsys, monkeypatch):
+    import hashlib
+
+    monkeypatch.delenv("CERTDOM_JOBS", raising=False)
+    code, out, _ = run_cli(capsys, "suite", "--n-max", "5", "--verbose")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _SUITE_N5_VERBOSE_SHA256
+
+
+# ---------------------------------------------------------------------------
+# Text output and usage errors of the other commands
+# ---------------------------------------------------------------------------
+
+def test_verify_human_output(capsys, monkeypatch):
+    code, out, _ = run_cli(
+        capsys, "verify", "-", "--set", "1,2", "--predicate", "certified",
+        stdin="n 4\n0 1\n1 2\n2 3\n", monkeypatch=monkeypatch,
+    )
+    assert code == 0
+    assert out == ("certified: false\n"
+                   "statuses: 0=outside 1=half-shadowed 2=half-shadowed 3=outside\n")
+
+
+def test_dd2_found_human_output(capsys, monkeypatch):
+    code, out, _ = run_cli(capsys, "dd2", "-", stdin="Cr\n", monkeypatch=monkeypatch)
+    assert code == 0
+    assert out == "d: 0 3\nd2: 1 2\n"
+
+
+def test_dd2_none_json(capsys, monkeypatch):
+    code, out, _ = run_cli(capsys, "dd2", "-", "--json", stdin="A_\n", monkeypatch=monkeypatch)
+    assert code == 0
+    assert json.loads(out) == {"found": False}
+
+
+def test_solve_empty_stdin_is_usage_error(capsys, monkeypatch):
+    code, out, err = run_cli(capsys, "solve", "-", stdin="", monkeypatch=monkeypatch)
+    assert code == 2 and out == ""
+    assert "empty input" in err
+
+
+def test_verify_bad_vertex_list_is_usage_error(capsys, monkeypatch):
+    code, out, err = run_cli(
+        capsys, "verify", "-", "--set", "0,x", "--predicate", "dominating",
+        stdin="n 4\n0 1\n", monkeypatch=monkeypatch,
+    )
+    assert code == 2 and out == ""
+    assert "'0,x'" in err

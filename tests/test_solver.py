@@ -31,7 +31,7 @@ from certdom import (
 )
 from certdom.suite import enumerate_labeled_graphs
 
-from conftest import random_graph
+from conftest import STATS_KEYS, random_graph, seeded_gnp_40
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +155,7 @@ def test_certificate_contains_all_supports(rng):
 
 
 def test_node_limit_flags_unproven():
-    g = _seeded_gnp_40()
+    g = seeded_gnp_40()
     for solve, valid in ((gamma_cer_solve, is_certified_dominating),
                          (gamma_solve, is_dominating)):
         full = solve(g)
@@ -167,31 +167,16 @@ def test_node_limit_flags_unproven():
         assert len(res.certificate) == res.value
 
 
-def _seeded_gnp_40():
-    import random
-
-    from certdom import is_connected
-
-    g = random_graph(40, 0.2, random.Random(3))
-    assert is_connected(g)  # one component: its phases run back to back
-    return g
-
-
-_STATS_KEYS = ["nodes_expanded", "forced_vertices", "components_split",
-               "closed_form_hits", "certificate_nodes", "packing_prunes",
-               "fractional_prunes", "dead_ends"]
-
-
 def test_certificate_nodes_count_the_lex_phase():
-    g = _seeded_gnp_40()
+    g = seeded_gnp_40()
     for solve in (gamma_cer_solve, gamma_solve):
         stats = solve(g).stats
         assert 0 < stats.certificate_nodes <= stats.nodes_expanded
-        assert list(stats.as_dict()) == _STATS_KEYS
+        assert list(stats.as_dict()) == STATS_KEYS
 
 
 def test_prune_counts_show_the_fractional_bound_at_work():
-    g = _seeded_gnp_40()
+    g = seeded_gnp_40()
     for solve in (gamma_cer_solve, gamma_solve):
         stats = solve(g).stats
         assert stats.fractional_prunes > 0
@@ -204,7 +189,7 @@ def test_prune_counts_show_the_fractional_bound_at_work():
 def test_both_solves_on_a_dense_gnp_stay_small():
     # the fractional bound settles most failed first-hit queries of the
     # certificate phase; the greedy packing alone needs 1,523 nodes here
-    g = _seeded_gnp_40()
+    g = seeded_gnp_40()
     for solve in (gamma_cer_solve, gamma_solve):
         assert solve(g).stats.nodes_expanded <= 600
 
@@ -212,7 +197,7 @@ def test_both_solves_on_a_dense_gnp_stay_small():
 def _search(g, certified):
     from certdom import solver
 
-    return solver._Search(g, certified, solver._Budget(None))
+    return solver._Search(g, certified, solver.SolveStats())
 
 
 def test_fractional_bound_beats_the_greedy_packing_on_c7():
@@ -273,7 +258,7 @@ def test_propagation_and_bound_are_sound_under_pins():
 def test_node_limit_in_certificate_phase_keeps_proven_value():
     # a limit just past the value phase stops the lex phase; the value is
     # already proven and the witness then returned is an optimal set
-    g = _seeded_gnp_40()
+    g = seeded_gnp_40()
     for solve, valid in ((gamma_cer_solve, is_certified_dominating),
                          (gamma_solve, is_dominating)):
         full = solve(g)
@@ -474,7 +459,7 @@ def test_closed_form_tables_checked_by_an_independent_search(monkeypatch):
         res = gamma_cer_solve(g)
         assert res.value == table, g
         assert res.stats.closed_form_hits == 0
-        assert list(res.stats.as_dict()) == _STATS_KEYS
+        assert list(res.stats.as_dict()) == STATS_KEYS
 
 
 def _eager_greedy_cover(g, out_mask):
@@ -499,7 +484,7 @@ def test_greedy_cover_matches_eager_greedy(rng):
     from certdom.graphs import leaf_mask
 
     def greedy(g, out_mask):
-        return solver._Search(g, False, solver._Budget(None)).greedy_cover(out_mask)
+        return solver._Search(g, False, solver.SolveStats()).greedy_cover(out_mask)
 
     for _ in range(300):
         g = random_graph(rng.randrange(0, 11), rng.random(), rng)
