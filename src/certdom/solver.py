@@ -26,14 +26,25 @@ Two independent routes are provided:
   ``structure`` or bounded by the paper's upper bounds; both are checked
   against this search.
 
+  The domination search (every phase but the certified ones) splits a node
+  whose undominated vertices fall into parts that share no allowed
+  dominator: each part is solved on its own, and the fewest vertices of the
+  node's completion is the sum over the parts (Akiba & Iwata 2016).  A memo
+  keyed by the part and its allowed dominators carries part results across
+  nodes, queries and phases.  The certified rules couple a chosen vertex's
+  neighbours across parts, so the certified search does not split.
+
 Certificates are deterministic: among all optimal sets the lexicographically
 smallest (by sorted vertex list) is returned, found by self-reduction.  Each
 vertex in ascending order is kept when an optimal witness (at first the value
 phase's optimum) holds it or a first-hit run of the same branch and bound
-finds one that does, and is pinned out otherwise.  Every component's value
-is settled before any certificate phase starts, so after a node limit there
-the values stand and the witnesses are returned, unproven only in their tie
-break.
+finds one that does, and is pinned out otherwise.  The domination
+certificate phase pins the strong supports in and their leaves out, as every
+minimum dominating set does.  Every component's value is settled before any
+certificate phase starts, so after a node limit there the values stand and
+the witnesses are returned, unproven only in their tie break.  Once the
+limit has fired every later search stops at its first node, uncounted, so a
+stopped solve reads one node past its limit.
 """
 
 from __future__ import annotations
@@ -66,6 +77,7 @@ class SolveStats:
     packing_prunes: int = 0  # nodes cut by the greedy packing bound
     fractional_prunes: int = 0  # nodes cut by the fractional packing bound alone
     dead_ends: int = 0  # branches propagation proved infeasible
+    parts_split: int = 0  # nodes whose undominated vertices fell into independent parts
 
     def as_dict(self) -> dict[str, int]:
         return asdict(self)
@@ -193,11 +205,17 @@ class _Search:
     """In/out decision search over one graph's vertices, on raw bitmasks.
     One search serves every phase of a component; the certified solve turns
     ``certified`` on after the value phase.  Nodes and prunes are counted on
-    the solve's ``stats``, and the node past ``limit`` raises _NodeLimit."""
+    the solve's ``stats``, and the node past ``limit`` raises _NodeLimit.
+
+    ``memo`` holds the results of the parts the plain search splits off:
+    (part, its allowed dominators) -> (fewest dominators of the part, the
+    set), or (a lower bound on that number, None) after a capped search
+    found none.  The key fixes the sub-problem, so an entry holds across
+    pins, first-hit queries and phases."""
 
     __slots__ = (
         "adj", "closed", "full", "certified", "stats", "limit",
-        "best_val", "best_mask", "first_hit", "branch",
+        "best_val", "best_mask", "first_hit", "branch", "starts", "memo",
     )
 
     def __init__(self, g: Graph, certified: bool, stats: SolveStats,
@@ -208,6 +226,7 @@ class _Search:
         self.certified = certified
         self.stats = stats
         self.limit = limit
+        self.memo: dict[tuple[int, int], tuple[int, int | None]] = {}
 
     # -- shared machinery ---------------------------------------------------
 
@@ -295,25 +314,32 @@ class _Search:
         vertices needed.  Certified sets dominate, so both bound either
         search.  The greedy scan also sets ``branch`` to the allowed
         dominators of the lowest vertex of U with the fewest; propagation
-        leaves each at least two, so the first with two is that vertex."""
+        leaves each at least two, so the first with two is that vertex.  It
+        sets ``starts`` to the vertices of U after the first that share no
+        allowed dominator with any vertex of U before them (see _parts)."""
         closed = self.closed
         allowed = self.full ^ out_mask
         undom = self.full ^ covered
         used = dom = count = 0
         fewest = len(closed) + 1
+        starts = 0
         m = undom
         while m:
             low = m & -m
             m ^= low
             cand = closed[low.bit_length() - 1] & allowed
-            dom |= cand
             if not cand & used:
+                # dom holds used, so only a packed vertex can miss dom
+                if count and not cand & dom:
+                    starts |= low
                 used |= cand
                 count += 1
+            dom |= cand
             if fewest > 2:
                 c = cand.bit_count()
                 if c < fewest:
                     fewest, self.branch = c, cand
+        self.starts = starts
         if count >= need:
             self.stats.packing_prunes += 1
             return count
@@ -349,9 +375,17 @@ class _Search:
         return self.best_val, self.best_mask
 
     def _descend_best(self, in_mask: int, out_mask: int, covered: int) -> None:
+        """Branch on the allowed dominators of one undominated vertex,
+        improving ``best_val``/``best_mask`` (raising _Hit on the first
+        improvement in first-hit mode).  In the plain search, a node whose
+        undominated vertices fall into independent parts solves each part on
+        its own instead (``_split``)."""
         stats = self.stats
         stats.nodes_expanded += 1
         if self.limit is not None and stats.nodes_expanded > self.limit:
+            # the node past the limit counts once, however many searches
+            # of the solve try to go on
+            stats.nodes_expanded = self.limit + 1
             raise _NodeLimit
         state = self._propagate(in_mask, out_mask, covered)
         if state is None:
@@ -371,6 +405,12 @@ class _Search:
         need = self.best_val - size
         if self._pack_bound(out_mask, covered, need) >= need:
             return
+        if self.starts and not self.certified:
+            parts = self._parts(self.full ^ covered, self.full ^ out_mask, self.starts)
+            if parts:
+                stats.parts_split += 1
+                self._split(parts, in_mask, out_mask, covered, need - 1)
+                return
         closed = self.closed
         cand = self.branch
         excl = 0
@@ -380,6 +420,76 @@ class _Search:
             self._descend_best(in_mask | low, out_mask | excl,
                                covered | closed[low.bit_length() - 1])
             excl |= low
+
+    def _parts(self, undom: int, allowed: int, starts: int) -> list[tuple[int, int]] | None:
+        """The parts of ``undom``, two of its vertices linked when they share
+        an allowed dominator, lowest vertex first; each with its allowed
+        dominators, which dominate nothing undominated outside it.  None
+        when ``undom`` is one part: every vertex but the lowest and the
+        ``starts`` shares a dominator with a lower one, so that holds as soon
+        as the lowest vertex's part reaches every start."""
+        parts = []
+        while undom:
+            part = grow = undom & -undom
+            doms = 0
+            while grow:
+                new = self._cover(grow) & allowed & ~doms
+                doms |= new
+                grow = self._cover(new) & undom & ~part
+                part |= grow
+                if not parts and not starts & ~part:
+                    return None
+            parts.append((part, doms))
+            undom ^= part
+        return parts
+
+    def _split(self, parts: list[tuple[int, int]], in_mask: int, out_mask: int,
+               covered: int, room: int) -> None:
+        """Complete the node from its independent parts: the fewest
+        vertices of each, within the ``room`` an improvement may add, one
+        vertex kept for each part still to come.  Stops at the first part
+        that does not fit; otherwise the union is the best completion."""
+        undom = self.full ^ covered
+        chosen = 0
+        left = len(parts)
+        for part, doms in parts:
+            left -= 1
+            if room <= left:  # every part needs a vertex
+                return
+            found = self._solve_part(part, doms, in_mask, out_mask,
+                                     covered | (undom ^ part), room - left)
+            if found is None:
+                return
+            room -= found.bit_count()
+            chosen |= found
+        self.best_mask = in_mask | chosen
+        self.best_val = self.best_mask.bit_count()
+        if self.first_hit:
+            raise _Hit
+
+    def _solve_part(self, part: int, doms: int, in_mask: int, out_mask: int,
+                    covered: int, cap: int) -> int | None:
+        """Fewest allowed dominators covering ``part`` if at most ``cap``,
+        else None: a best-value sub-search under the same pins, the other
+        parts marked covered.  The caller's search state is restored, also
+        after a node limit, and a result is memoized only when the
+        sub-search ran to its end."""
+        key = (part, doms)
+        known = self.memo.get(key)
+        if known is not None:
+            low, mask = known
+            if mask is not None or low > cap:
+                return mask if low <= cap else None
+        size = in_mask.bit_count()
+        saved = self.best_val, self.best_mask, self.first_hit
+        self.best_val, self.best_mask, self.first_hit = size + cap + 1, 0, False
+        try:
+            self._descend_best(in_mask, out_mask, covered)
+            found = self.best_mask & ~in_mask if self.best_val <= size + cap else None
+        finally:
+            self.best_val, self.best_mask, self.first_hit = saved
+        self.memo[key] = (cap + 1, None) if found is None else (found.bit_count(), found)
+        return found
 
     # -- phase 2: lexicographically smallest optimum -------------------------
 
@@ -444,17 +554,20 @@ class _Search:
 
 def _component(
     g: Graph, cfg: SolverConfig, stats: SolveStats, certified: bool
-) -> tuple[_Search, int | None, int, int, int | None]:
-    """(search, value, best set, pins, gamma) for one connected component;
-    the value is None when a node limit cut its search.
+) -> tuple[_Search, int | None, int, tuple[int, int], int | None]:
+    """(search, value, best set, (in pins, out pins), gamma) for one
+    connected component; the value is None when a node limit cut its search.
 
     The value phase, the same in both modes (certified mode runs it only
     with reductions on), proves gamma with the leaves pinned out, harmless
     for n >= 3 as a support stands in for its leaf.  In gamma mode its
-    optimum is the value; certified mode turns it into an incumbent and
-    switches the same search to the certified rules.  After a node limit
-    the best set found stands; otherwise the optimal set returned seeds
-    ``search.lex_first`` under the pins.
+    optimum is the value, and the certificate phase pins the strong supports
+    in and their leaves out: every gamma-set does so, as two leaves could
+    trade for their support and a leaf beside its support is redundant.
+    Certified mode turns the optimum into an incumbent and switches the same
+    search to the certified rules.  After a node limit the best set found
+    stands; otherwise the optimal set returned seeds ``search.lex_first``
+    under the pins.
     """
     prof = leaf_profile(g)
     supports = supports_mask(g)
@@ -470,7 +583,7 @@ def _component(
         except _NodeLimit:
             d0 = search.best_mask
     if not certified:
-        return search, gamma, d0, 0, gamma
+        return search, gamma, d0, (prof.strong, prof.strong_leaves), gamma
     search.certified = True
     pins = supports if cfg.use_reductions else 0
     stats.forced_vertices += pins.bit_count()
@@ -478,7 +591,7 @@ def _component(
     inc_mask = g.full_mask & ~prof.strong_leaves
     if gamma is not None:
         if _certified(g, d0):
-            return search, gamma, d0, pins, gamma  # optimal, as gamma_cer >= gamma
+            return search, gamma, d0, (pins, 0), gamma  # optimal, as gamma_cer >= gamma
         # repair: bring in the one outside neighbour of each half-shadowed
         # vertex; the fixpoint is certified
         d1, add = d0, True
@@ -494,7 +607,7 @@ def _component(
         value, inc_mask = search.solve_best(pins, 0, inc_mask)
     except _NodeLimit:
         value, inc_mask = None, search.best_mask
-    return search, value, inc_mask, pins, gamma
+    return search, value, inc_mask, (pins, 0), gamma
 
 
 def _combine_components(g: Graph, cfg: SolverConfig, certified: bool) -> SolveResult:
@@ -514,7 +627,7 @@ def _combine_components(g: Graph, cfg: SolverConfig, certified: bool) -> SolveRe
             value = mask.bit_count()
         else:
             try:
-                mask = search.lex_first(value, pins, 0, mask)
+                mask = search.lex_first(value, *pins, mask)
             except _NodeLimit:  # the witness is optimal: only its tie break is open
                 mask, ok = search.best_mask, False
         total += value

@@ -1,7 +1,8 @@
 """γ, γ_cer and ``SolveResult.gamma`` against a 0/1 program solved by HiGHS.
 
 The program shares no code with the branch and bound, so it checks the
-search's bounds above the subset oracle's n <= 20.  Binary x_v (v in the
+search's bounds above the subset oracle's n <= 20, and by self-reduction
+its lex-smallest certificates.  Binary x_v (v in the
 set) and, for certified domination, y_v (v has at least two outside
 neighbours).  With o_v = deg v - sum_{u in N(v)} x_u:
 
@@ -21,7 +22,8 @@ from conftest import random_graph
 pytest.importorskip("scipy")
 
 
-def _milp_value(g: Graph, certified: bool) -> int:
+def _milp_value(g: Graph, certified: bool, fixed: dict[int, int] | None = None) -> int:
+    """The optimum, with x_v fixed to ``fixed[v]`` for the vertices it names."""
     import numpy as np
     from scipy.optimize import Bounds, LinearConstraint, milp
 
@@ -47,8 +49,11 @@ def _milp_value(g: Graph, certified: bool) -> int:
             hi[2 * n + v] = 0
     cost = np.zeros(nvar)
     cost[:n] = 1
+    x_lo, x_hi = np.zeros(nvar), np.ones(nvar)
+    for v, bit in (fixed or {}).items():
+        x_lo[v] = x_hi[v] = bit
     res = milp(cost, constraints=LinearConstraint(a, lo, hi),
-               integrality=np.ones(nvar), bounds=Bounds(0, 1))
+               integrality=np.ones(nvar), bounds=Bounds(x_lo, x_hi))
     if res.status != 0:
         raise RuntimeError(f"MILP did not solve to optimality: {res.message}")
     return int(round(res.fun))
@@ -70,3 +75,38 @@ def test_solves_match_an_independent_milp_at_mid_n():
         assert (plain.value, plain.gamma, cer.gamma) == (gamma, gamma, gamma), g
         assert cer.value == _milp_value(g, certified=True), g
         assert cer.proven and plain.proven
+
+
+def _milp_lex_min(g: Graph, value: int) -> list[int]:
+    """The lex-smallest minimum dominating set by self-reduction: each
+    vertex in ascending order is fixed in, and kept when the optimum stays
+    ``value``, else fixed out; once ``value`` are in, the rest are out."""
+    fixed: dict[int, int] = {}
+    chosen = []
+    for v in range(g.n):
+        if len(chosen) == value:
+            break
+        fixed[v] = 1
+        if _milp_value(g, certified=False, fixed=fixed) == value:
+            chosen.append(v)
+        else:
+            fixed[v] = 0
+    return chosen
+
+
+def test_gamma_certificates_on_sparse_graphs_are_the_milp_lex_min():
+    # a random recursive tree and one with two chords, n = 200: the search
+    # splits into independent parts there, and the certificate must still
+    # be the lex-smallest gamma-set
+    rng = random.Random(20261019)
+    tree = [(v, rng.randrange(v)) for v in range(1, 200)]
+    chords = set(tree)
+    while len(chords) < len(tree) + 2:
+        u, v = sorted(rng.sample(range(200), 2))
+        if (v, u) not in chords:
+            chords.add((u, v))
+    for g in (Graph.from_edges(200, tree), Graph.from_edges(200, sorted(chords))):
+        res = gamma_solve(g)
+        assert res.proven and res.stats.parts_split > 0
+        assert res.value == _milp_value(g, certified=False)
+        assert res.certificate.to_list() == _milp_lex_min(g, res.value)

@@ -255,6 +255,41 @@ def test_propagation_and_bound_are_sound_under_pins():
                 assert pinned_in.bit_count() + bound <= best, g
 
 
+def test_parts_match_a_pairwise_grouping():
+    # _parts, given the starts of _pack_bound's scan, against grouping the
+    # undominated vertices by shared allowed dominators pair by pair; None
+    # stands for a single part
+    import random
+
+    rng = random.Random(20261019)
+    split = 0
+    for _ in range(400):
+        n = rng.randrange(4, 31)
+        g = random_graph(n, rng.choice((1.2, 2.0, 3.5)) / n, rng)
+        search = _search(g, False)
+        in_mask, out_mask = rng.getrandbits(n) & rng.getrandbits(n), rng.getrandbits(n) & rng.getrandbits(n)
+        state = search._propagate(in_mask, out_mask & ~in_mask, search._cover(in_mask))
+        if state is None or state[2] == g.full_mask:
+            continue
+        _, out_mask, covered = state
+        search._pack_bound(out_mask, covered, g.n + 1)
+        undom, allowed = g.full_mask ^ covered, g.full_mask ^ out_mask
+        groups = []
+        for u in range(n):
+            if undom >> u & 1:
+                cand = search.closed[u] & allowed
+                linked = [grp for grp in groups if grp[1] & cand]
+                part, doms = 1 << u, cand
+                for grp in linked:
+                    groups.remove(grp)
+                    part, doms = part | grp[0], doms | grp[1]
+                groups.append((part, doms))
+        want = sorted(groups, key=lambda grp: grp[0] & -grp[0]) if len(groups) > 1 else None
+        assert search._parts(undom, allowed, search.starts) == want, g
+        split += want is not None
+    assert split > 20
+
+
 def test_node_limit_in_certificate_phase_keeps_proven_value():
     # a limit just past the value phase stops the lex phase; the value is
     # already proven and the witness then returned is an optimal set
@@ -337,8 +372,75 @@ def test_gamma_on_trees_matches_the_tree_dp():
     for g in graphs:
         want = _tree_gamma(g)
         res = gamma_solve(g, cut)
-        assert res.value == res.gamma == want
+        # the certificate phase too finishes, splitting into parts
+        assert res.proven and res.value == res.gamma == want
         assert gamma_cer_solve(g, cut).gamma == want
+
+
+def _sparse_graphs(rng, sizes) -> list[Graph]:
+    """A random recursive tree, a forest of two or three such trees and a
+    G(n, 1.5/n) for each n in ``sizes``."""
+    graphs = []
+    for n in sizes:
+        graphs.append(Graph.from_edges(n, _random_tree_edges(n, rng)))
+        cuts = sorted(rng.sample(range(2, n - 1), rng.choice((1, 2))))
+        edges = []
+        for lo, hi in zip([0] + cuts, cuts + [n]):
+            edges += _random_tree_edges(hi - lo, rng, lo)
+        graphs.append(Graph.from_edges(n, edges))
+        graphs.append(random_graph(n, 1.5 / n, rng))
+    return graphs
+
+
+def test_split_searches_match_the_oracles_on_sparse_graphs():
+    # sparse graphs fall into independent parts during the search; values
+    # and lex-smallest certificates of both solves and of the certified
+    # solve without reductions against the subset oracles
+    import random
+
+    rng = random.Random(20261019)
+    plain = SolverConfig(use_reductions=False)
+    split = 0
+    for g in _sparse_graphs(rng, [*range(12, 19)] * 2):
+        want = gamma_oracle(g)
+        want_cer = gamma_cer_oracle(g)
+        res = gamma_solve(g)
+        assert (res.value, res.certificate.mask) == (want.value, want.certificate.mask), g
+        for cfg in (None, plain):
+            cer = gamma_cer_solve(g, cfg)
+            assert (cer.value, cer.certificate.mask) == (
+                want_cer.value, want_cer.certificate.mask), g
+            split += cer.stats.parts_split
+        split += res.stats.parts_split
+    assert split > 0
+
+
+def test_a_stopped_solve_counts_one_node_past_its_limit():
+    # once the limit fires, no later search of the solve counts a node: not
+    # a later component's certificate phase, nor the certified search after
+    # a stopped value phase (the connected G(40, 0.2) at a limit of 5)
+    import random
+
+    rng = random.Random(3)
+    graphs = [seeded_gnp_40()]
+    for trees in (2, 3) * 6:
+        edges, n = [], 0
+        for size in [rng.randrange(10, 40) for _ in range(trees)]:
+            edges += _random_tree_edges(size, rng, n)
+            n += size
+        graphs.append(Graph.from_edges(n, edges))
+    stopped = 0
+    for g in graphs:
+        for limit in (5, 20, 50):
+            for solve, cfg in ((gamma_solve, SolverConfig(node_limit=limit)),
+                               (gamma_cer_solve, SolverConfig(node_limit=limit)),
+                               (gamma_cer_solve, SolverConfig(use_reductions=False,
+                                                              node_limit=limit))):
+                res = solve(g, cfg)
+                if not res.proven:
+                    stopped += 1
+                    assert res.stats.nodes_expanded == limit + 1, (g, solve, cfg)
+    assert stopped >= 20
 
 
 def test_gamma_on_a_tree_corona_is_proven_with_the_lex_first_set():
