@@ -22,9 +22,12 @@ Two independent routes are provided:
   every support) and detects infeasible certification early: a chosen
   vertex whose unresolved neighbourhood can no longer avoid "exactly one
   neighbour outside" kills the branch, and near-misses force its last
-  undecided neighbour in or out.  No value is read from the closed forms of
-  ``structure`` or bounded by the paper's upper bounds; both are checked
-  against this search.
+  undecided neighbour in or out.  Forced moves run from one worklist that a
+  decision seeds with its closed neighbourhood, so a node re-checks only the
+  undominated and chosen vertices next to what moved, not the whole graph,
+  as watched literals do in SAT solvers (Moskewicz et al. 2001).  No value
+  is read from the closed forms of ``structure`` or bounded by the paper's
+  upper bounds; both are checked against this search.
 
   The domination search (every phase but the certified ones) splits a node
   whose undominated vertices fall into parts that share no allowed
@@ -240,7 +243,8 @@ class _Search:
             covered |= closed[low.bit_length() - 1]
         return covered
 
-    def _propagate(self, in_mask: int, out_mask: int, covered: int):
+    def _propagate(self, in_mask: int, out_mask: int, covered: int,
+                   moved: int | None = None):
         """Fixpoint of forced moves; None on a proven dead end.
 
         ``covered`` is the union of N[v] over v in ``in_mask``, kept up to
@@ -249,21 +253,35 @@ class _Search:
         forces it in; a chosen vertex with exactly one decided-out neighbour
         and no undecided ones is stuck half-shadowed (dead), with one
         undecided neighbour left that neighbour is forced out (one
-        decided-out) or in (none decided-out).  One scan forces in every
-        single-dominator vertex: a vertex forced earlier in the scan covers
-        only undominated vertices it is a candidate of, so the fixpoint is
-        that of forcing one at a time.  Returns (in_mask, out_mask, covered).
+        decided-out) or in (none decided-out).
+
+        One worklist drives both: undominated vertices wait for the plain
+        rule, chosen ones (certified search only) for the certified rules.
+        A move in re-queues the vertex and its chosen neighbours, a move out
+        its chosen neighbours and its undominated closed neighbours; nothing
+        else can change a verdict.  Each rule is a unit rule on one
+        constraint, so the fixpoint and the dead-end verdict do not depend on
+        the order of the checks.  ``moved`` names the vertices decided since
+        the last fixpoint: the state must be that fixpoint plus ``moved``,
+        and only N[moved] is queued.  None queues every undominated and
+        every chosen vertex, for a state of unknown origin.  Returns
+        (in_mask, out_mask, covered).
         """
         adj = self.adj
         closed = self.closed
-        full = self.full
+        certified = self.certified
+        if moved is None:
+            plain = self.full ^ covered
+            chosen = in_mask if certified else 0
+        else:
+            near = self._cover(moved)
+            plain = near & ~covered if moved & out_mask else 0
+            chosen = near & in_mask if certified else 0
         while True:
-            allowed = full ^ out_mask
-            m = full ^ covered
-            while m:
-                low = m & -m
-                m ^= low
-                cand = closed[low.bit_length() - 1] & allowed
+            while plain:
+                low = plain & -plain
+                plain ^= low
+                cand = closed[low.bit_length() - 1] & ~out_mask
                 if cand == 0:
                     self.stats.dead_ends += 1
                     return None
@@ -271,36 +289,33 @@ class _Search:
                     in_mask |= cand
                     row = closed[cand.bit_length() - 1]
                     covered |= row
-                    m &= ~row
-            if not self.certified:
+                    plain &= ~row
+                    if certified:
+                        chosen |= row & in_mask
+            if not chosen:
                 return in_mask, out_mask, covered
-            # the certified rules restart from the lowest chosen vertex after
-            # each move; only a move out can leave a vertex without dominators
-            undec = allowed ^ in_mask
-            m = in_mask
-            while m:
-                low = m & -m
-                m ^= low
-                row = adj[low.bit_length() - 1]
-                a_mask = row & out_mask
-                if a_mask & (a_mask - 1):
-                    continue
-                b_mask = row & undec
-                if b_mask & (b_mask - 1):
-                    continue
-                if a_mask:
-                    if not b_mask:
-                        self.stats.dead_ends += 1
-                        return None
-                    out_mask |= b_mask
-                    break
-                if b_mask:
-                    in_mask |= b_mask
-                    covered |= closed[b_mask.bit_length() - 1]
-                    undec ^= b_mask
-                    m = in_mask
-            else:
-                return in_mask, out_mask, covered
+            low = chosen & -chosen
+            chosen ^= low
+            row = adj[low.bit_length() - 1]
+            a_mask = row & out_mask
+            if a_mask & (a_mask - 1):
+                continue
+            b_mask = row & ~in_mask ^ a_mask
+            if b_mask & (b_mask - 1):
+                continue
+            if a_mask:
+                if not b_mask:
+                    self.stats.dead_ends += 1
+                    return None
+                out_mask |= b_mask
+                row = closed[b_mask.bit_length() - 1]
+                plain = row & ~covered
+                chosen |= row & in_mask
+            elif b_mask:
+                in_mask |= b_mask
+                row = closed[b_mask.bit_length() - 1]
+                covered |= row
+                chosen |= row & in_mask
 
     def _pack_bound(self, out_mask: int, covered: int, need: int) -> int:
         """Lower bound on the vertices still needed to dominate the
@@ -374,12 +389,13 @@ class _Search:
         self._descend_best(in0, out0, self._cover(in0))
         return self.best_val, self.best_mask
 
-    def _descend_best(self, in_mask: int, out_mask: int, covered: int) -> None:
+    def _descend_best(self, in_mask: int, out_mask: int, covered: int,
+                      moved: int | None = None) -> None:
         """Branch on the allowed dominators of one undominated vertex,
         improving ``best_val``/``best_mask`` (raising _Hit on the first
         improvement in first-hit mode).  In the plain search, a node whose
         undominated vertices fall into independent parts solves each part on
-        its own instead (``_split``)."""
+        its own instead (``_split``).  ``moved`` is passed to _propagate."""
         stats = self.stats
         stats.nodes_expanded += 1
         if self.limit is not None and stats.nodes_expanded > self.limit:
@@ -387,7 +403,7 @@ class _Search:
             # of the solve try to go on
             stats.nodes_expanded = self.limit + 1
             raise _NodeLimit
-        state = self._propagate(in_mask, out_mask, covered)
+        state = self._propagate(in_mask, out_mask, covered, moved)
         if state is None:
             return
         in_mask, out_mask, covered = state
@@ -418,7 +434,7 @@ class _Search:
             low = cand & -cand
             cand ^= low
             self._descend_best(in_mask | low, out_mask | excl,
-                               covered | closed[low.bit_length() - 1])
+                               covered | closed[low.bit_length() - 1], low | excl)
             excl |= low
 
     def _parts(self, undom: int, allowed: int, starts: int) -> list[tuple[int, int]] | None:
@@ -473,7 +489,8 @@ class _Search:
         else None: a best-value sub-search under the same pins, the other
         parts marked covered.  The caller's search state is restored, also
         after a node limit, and a result is memoized only when the
-        sub-search ran to its end."""
+        sub-search ran to its end.  The state is the caller's fixpoint:
+        marking the other parts covered forces nothing."""
         key = (part, doms)
         known = self.memo.get(key)
         if known is not None:
@@ -484,7 +501,7 @@ class _Search:
         saved = self.best_val, self.best_mask, self.first_hit
         self.best_val, self.best_mask, self.first_hit = size + cap + 1, 0, False
         try:
-            self._descend_best(in_mask, out_mask, covered)
+            self._descend_best(in_mask, out_mask, covered, 0)
             found = self.best_mask & ~in_mask if self.best_val <= size + cap else None
         finally:
             self.best_val, self.best_mask, self.first_hit = saved
@@ -493,12 +510,14 @@ class _Search:
 
     # -- phase 2: lexicographically smallest optimum -------------------------
 
-    def _any_within(self, size: int, in_mask: int, out_mask: int, covered: int) -> bool:
-        """First-hit search for a set of at most ``size`` within the pins."""
+    def _any_within(self, size: int, in_mask: int, out_mask: int, covered: int,
+                    moved: int) -> bool:
+        """First-hit search for a set of at most ``size`` within the pins, a
+        fixpoint plus ``moved``."""
         self.best_val = size + 1
         self.first_hit = True
         try:
-            self._descend_best(in_mask, out_mask, covered)
+            self._descend_best(in_mask, out_mask, covered, moved)
         except _Hit:
             return True
         return False
@@ -511,8 +530,9 @@ class _Search:
         otherwise.  ``best_mask`` keeps the witness."""
         self.best_mask = witness
         covered = self._cover(in_mask)
+        low = None  # the first pass propagates from scratch, later ones from the last pin
         while True:
-            state = self._propagate(in_mask, out_mask, covered)
+            state = self._propagate(in_mask, out_mask, covered, low)
             if state is None:
                 raise AssertionError("no certificate at the proven optimum; solver bug")
             in_mask, out_mask, covered = state
@@ -521,7 +541,7 @@ class _Search:
                 return in_mask | undec & self.best_mask
             low = undec & -undec
             with_low = covered | self.closed[low.bit_length() - 1]
-            if low & self.best_mask or self._any_within(size, in_mask | low, out_mask, with_low):
+            if low & self.best_mask or self._any_within(size, in_mask | low, out_mask, with_low, low):
                 in_mask |= low
                 covered = with_low
             else:
@@ -564,8 +584,9 @@ def _component(
     optimum is the value, and the certificate phase pins the strong supports
     in and their leaves out: every gamma-set does so, as two leaves could
     trade for their support and a leaf beside its support is redundant.
-    Certified mode turns the optimum into an incumbent and switches the same
-    search to the certified rules.  After a node limit the best set found
+    Certified mode turns the optimum, or the best set of a stopped value
+    phase, repaired into a certified set, into an incumbent and switches the
+    same search to the certified rules.  After a node limit the best set found
     stands; otherwise the optimal set returned seeds ``search.lex_first``
     under the pins.
     """
@@ -589,8 +610,8 @@ def _component(
     stats.forced_vertices += pins.bit_count()
     # leaves on strong supports are safe to leave out of any certified set
     inc_mask = g.full_mask & ~prof.strong_leaves
-    if gamma is not None:
-        if _certified(g, d0):
+    if cfg.use_reductions:  # the value phase ran, to its end or not
+        if gamma is not None and _certified(g, d0):
             return search, gamma, d0, (pins, 0), gamma  # optimal, as gamma_cer >= gamma
         # repair: bring in the one outside neighbour of each half-shadowed
         # vertex; the fixpoint is certified

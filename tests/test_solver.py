@@ -255,6 +255,44 @@ def test_propagation_and_bound_are_sound_under_pins():
                 assert pinned_in.bit_count() + bound <= best, g
 
 
+def test_incremental_propagation_matches_a_fresh_fixpoint():
+    # from a fixpoint, a vertex pinned in and some pinned out, propagated
+    # from what moved, reach the fixpoint (or the dead end) that a
+    # propagation from scratch reaches on the same pins, in both modes
+    import random
+
+    rng = random.Random(20261020)
+    moves = dead = 0
+    for _ in range(1500):
+        n = rng.randrange(7, 15)
+        g = random_graph(n, rng.choice((0.15, 0.25, 0.4)), rng)
+        for certified in (False, True):
+            search = _search(g, certified)
+            in_mask = rng.getrandbits(n) & rng.getrandbits(n) & rng.getrandbits(n)
+            out_mask = rng.getrandbits(n) & rng.getrandbits(n) & ~in_mask
+            state = search._propagate(in_mask, out_mask, search._cover(in_mask))
+            if state is None:
+                continue
+            in_mask, out_mask, covered = state
+            undec = [v for v in range(n) if not (in_mask | out_mask) >> v & 1]
+            if not undec:
+                continue
+            rng.shuffle(undec)
+            if rng.random() < 0.5:
+                moved = 1 << undec[0]
+                in_mask |= moved
+                covered |= search.closed[undec[0]]
+            else:
+                moved = sum(1 << v for v in undec[:rng.randrange(1, 4)])
+                out_mask |= moved
+            want = search._propagate(in_mask, out_mask, search._cover(in_mask))
+            got = search._propagate(in_mask, out_mask, covered, moved)
+            assert got == want, (g, certified)
+            dead += want is None
+            moves += want is not None and want != (in_mask, out_mask, covered)
+    assert moves > 100 and dead > 100
+
+
 def test_parts_match_a_pairwise_grouping():
     # _parts, given the starts of _pack_bound's scan, against grouping the
     # undominated vertices by shared allowed dominators pair by pair; None
@@ -321,6 +359,34 @@ def test_node_limit_keeps_the_best_set_found():
     plain = gamma_cer_solve(g, SolverConfig(use_reductions=False, node_limit=1000))
     assert not plain.proven and plain.value == gamma_cer_solve(g).value == 10
     assert is_certified_dominating(g, plain.certificate)
+
+
+def test_a_stopped_certified_solve_is_no_larger_than_its_repaired_greedy_cover():
+    # a limit inside the value phase of the certified solve still seeds its
+    # certified search with the best dominating set found, repaired into a
+    # certified set, not with nearly the whole vertex set
+    import random
+
+    from certdom import is_connected
+    from certdom.domination import _certified
+    from certdom.graphs import leaf_profile
+
+    g = random_graph(100, 0.05, random.Random(1))
+    assert is_connected(g)
+    res = gamma_cer_solve(g, SolverConfig(node_limit=1000))
+    assert not res.proven and res.gamma is None  # the value phase stopped
+    assert is_certified_dominating(g, res.certificate)
+    cover = _search(g, False).greedy_cover(leaf_profile(g).leaves)
+    add = True
+    while add:  # bring in the lone outside neighbour of each half-shadowed vertex
+        add = 0
+        for v in range(g.n):
+            row = g.adj[v] & ~cover
+            if cover >> v & 1 and row.bit_count() == 1:
+                add |= row
+        cover |= add
+    assert _certified(g, cover)
+    assert res.value <= cover.bit_count() < g.n // 3
 
 
 def _tree_gamma(g: Graph) -> int:
@@ -441,6 +507,29 @@ def test_a_stopped_solve_counts_one_node_past_its_limit():
                     stopped += 1
                     assert res.stats.nodes_expanded == limit + 1, (g, solve, cfg)
     assert stopped >= 20
+
+
+# sha256 over every labeled graph of order <= 5, in enumeration order, of
+# repr((value, certificate, proven, gamma, stats)) of gamma_solve,
+# gamma_cer_solve and gamma_cer_solve without reductions.  It pins the search
+# tree, not only the answers: a change to a propagation rule or a bound that
+# expands other nodes moves it.
+_SEARCH_N5_SHA256 = "b4be54c61de19d5698d120d86a5edf7b342db15944f23d09ee7dfed620815c56"
+
+
+def test_search_fingerprint_on_every_graph_of_order_5():
+    import hashlib
+
+    modes = ((gamma_solve, None), (gamma_cer_solve, None),
+             (gamma_cer_solve, SolverConfig(use_reductions=False)))
+    digest = hashlib.sha256()
+    for n in range(6):
+        for g in enumerate_labeled_graphs(n):
+            for solve, cfg in modes:
+                res = solve(g, cfg)
+                digest.update(repr((res.value, res.certificate.to_list(), res.proven,
+                                    res.gamma, res.stats.as_dict())).encode())
+    assert digest.hexdigest() == _SEARCH_N5_SHA256
 
 
 def test_gamma_on_a_tree_corona_is_proven_with_the_lex_first_set():
