@@ -215,7 +215,13 @@ class Graph:
     def vertex_set(self, vertices: Iterable[int]) -> VertexSet:
         return VertexSet.of(self.n, vertices)
 
+    def _check_vertices(self, *vs: int) -> None:
+        for v in vs:
+            if not 0 <= v < self.n:
+                raise ValueError(f"vertex {v} out of range [0, {self.n})")
+
     def add_edge(self, u: int, v: int) -> "Graph":
+        self._check_vertices(u, v)
         if u == v:
             raise ValueError("cannot add a self-loop")
         if self.has_edge(u, v):
@@ -226,6 +232,7 @@ class Graph:
         return Graph._derived(self.n, rows)
 
     def remove_edge(self, u: int, v: int) -> "Graph":
+        self._check_vertices(u, v)
         if not self.has_edge(u, v):
             raise ValueError(f"edge ({u}, {v}) not present")
         rows = list(self.adj)
@@ -235,16 +242,15 @@ class Graph:
 
     def add_vertex(self, neighbors: Iterable[int] = ()) -> "Graph":
         """Return the graph with one new vertex n joined to ``neighbors``."""
+        neighbors = tuple(neighbors)
+        self._check_vertices(*neighbors)
         nb = _mask_of(neighbors)
-        if nb >> self.n:
-            raise ValueError("neighbour out of range")
         rows = [row | ((nb >> v & 1) << self.n) for v, row in enumerate(self.adj)]
         rows.append(nb)
         return Graph._derived(self.n + 1, rows)
 
     def remove_vertex(self, v: int) -> "Graph":
-        if not 0 <= v < self.n:
-            raise ValueError(f"vertex {v} out of range")
+        self._check_vertices(v)
         keep = self._full & ~(1 << v)
         return induced_subgraph(self, VertexSet(self.n, keep))
 

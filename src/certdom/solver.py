@@ -15,11 +15,12 @@ Two independent routes are provided:
   undominated vertices any of its allowed dominators covers (van Rooij &
   Bodlaender 2011).  Every certified set dominates, so both bound the
   certified search too.  Both share one leaf-free value phase, which proves
-  the domination number with the leaves pinned out and the supports in (a
-  support stands in for its leaf).  The certified solve runs it first and
-  uses the result as an incumbent, so one certified solve returns both
-  numbers.  It then pre-pins support vertices (certified sets must contain
-  every support) and detects infeasible certification early: a chosen
+  the domination number with the leaves pinned out (a support stands in for
+  its leaf, and propagation forces it in).  The certified solve runs it
+  first and closes the result under the certified rules into an incumbent,
+  so one certified solve returns both numbers.  It then pre-pins support
+  vertices (certified sets must contain every support, which propagation
+  cannot derive) and detects infeasible certification early: a chosen
   vertex whose unresolved neighbourhood can no longer avoid "exactly one
   neighbour outside" kills the branch, and near-misses force its last
   undecided neighbour in or out.  Forced moves run from one worklist that a
@@ -42,12 +43,12 @@ smallest (by sorted vertex list) is returned, found by self-reduction.  Each
 vertex in ascending order is kept when an optimal witness (at first the value
 phase's optimum) holds it or a first-hit run of the same branch and bound
 finds one that does, and is pinned out otherwise.  The domination
-certificate phase pins the strong supports in and their leaves out, as every
-minimum dominating set does.  Every component's value is settled before any
-certificate phase starts, so after a node limit there the values stand and
-the witnesses are returned, unproven only in their tie break.  Once the
-limit has fired every later search stops at its first node, uncounted, so a
-stopped solve reads one node past its limit.
+certificate phase pins the leaves of strong supports out, as every minimum
+dominating set does, which forces the strong supports in.  Every component's
+value is settled before any certificate phase starts, so after a node limit
+there the values stand and the witnesses are returned, unproven only in their
+tie break.  Once the limit has fired every later search stops at its first
+node, uncounted, so a stopped solve reads one node past its limit.
 """
 
 from __future__ import annotations
@@ -182,13 +183,11 @@ def _dominating_masks(g: Graph, k: int) -> Iterator[int]:
             yield mask
 
 
-def all_min_dominating_sets(
-    g: Graph, *, max_n: int = ORACLE_BOUND_DEFAULT, gamma: int | None = None
-) -> list[VertexSet]:
+def all_min_dominating_sets(g: Graph, *, gamma: int | None = None) -> list[VertexSet]:
     """Every minimum dominating set, in lexicographic order.  A known
     domination number ``gamma`` spares the oracle's search for it."""
-    if gamma is None or g.n > max_n:  # the oracle refuses n > max_n
-        gamma = gamma_oracle(g, max_n=max_n).value
+    if gamma is None or g.n > ORACLE_BOUND_DEFAULT:  # the oracle refuses larger graphs
+        gamma = gamma_oracle(g).value
     return [VertexSet(g.n, mask) for mask in _dominating_masks(g, gamma)]
 
 
@@ -464,14 +463,14 @@ class _Search:
         """Complete the node from its independent parts: the fewest
         vertices of each, within the ``room`` an improvement may add, one
         vertex kept for each part still to come.  Stops at the first part
-        that does not fit; otherwise the union is the best completion."""
+        that does not fit; otherwise the union is the best completion.  Each
+        cap is at least 1, as the node's packing bound, which takes the first
+        vertex of every part, is at most ``room``."""
         undom = self.full ^ covered
         chosen = 0
         left = len(parts)
         for part, doms in parts:
             left -= 1
-            if room <= left:  # every part needs a vertex
-                return
             found = self._solve_part(part, doms, in_mask, out_mask,
                                      covered | (undom ^ part), room - left)
             if found is None:
@@ -580,50 +579,42 @@ def _component(
 
     The value phase, the same in both modes (certified mode runs it only
     with reductions on), proves gamma with the leaves pinned out, harmless
-    for n >= 3 as a support stands in for its leaf.  In gamma mode its
-    optimum is the value, and the certificate phase pins the strong supports
-    in and their leaves out: every gamma-set does so, as two leaves could
-    trade for their support and a leaf beside its support is redundant.
-    Certified mode turns the optimum, or the best set of a stopped value
-    phase, repaired into a certified set, into an incumbent and switches the
-    same search to the certified rules.  After a node limit the best set found
-    stands; otherwise the optimal set returned seeds ``search.lex_first``
-    under the pins.
+    for n >= 3 as a support stands in for its leaf; propagation forces the
+    supports in.  In gamma mode its optimum is the value, and the
+    certificate phase pins the leaves of strong supports out, which forces
+    those supports in: every gamma-set holds them, as two leaves could trade
+    for their support and a leaf beside its support is redundant.  Certified
+    mode switches the same search to the certified rules, closes the
+    optimum, or the best set of a stopped value phase, under them into the
+    smallest certified superset, and takes that as the incumbent.  After a
+    node limit the best set found stands; otherwise the optimal set returned
+    seeds ``search.lex_first`` under the pins.
     """
     prof = leaf_profile(g)
-    supports = supports_mask(g)
     search = _Search(g, False, stats, cfg.node_limit)
     gamma = None
     if not certified or cfg.use_reductions:
         forbid = prof.leaves if g.n >= 3 else 0
         d0 = search.greedy_cover(forbid)
         try:
-            # with the leaves out every support is forced in; pinning them
-            # up front spares propagation one pass per support
-            gamma, d0 = search.solve_best(supports if forbid else 0, forbid, d0)
+            gamma, d0 = search.solve_best(0, forbid, d0)
         except _NodeLimit:
             d0 = search.best_mask
     if not certified:
-        return search, gamma, d0, (prof.strong, prof.strong_leaves), gamma
+        return search, gamma, d0, (0, prof.strong_leaves), gamma
     search.certified = True
-    pins = supports if cfg.use_reductions else 0
+    pins = supports_mask(g) if cfg.use_reductions else 0
     stats.forced_vertices += pins.bit_count()
-    # leaves on strong supports are safe to leave out of any certified set
-    inc_mask = g.full_mask & ~prof.strong_leaves
     if cfg.use_reductions:  # the value phase ran, to its end or not
-        if gamma is not None and _certified(g, d0):
+        # with nothing out, the certified rules only bring in the lone
+        # outside neighbour of a member; every certified superset of d0
+        # holds what they add, so the fixpoint is the smallest one
+        inc_mask = search._propagate(d0, 0, search._cover(d0))[0]
+        if gamma is not None and inc_mask == d0:
             return search, gamma, d0, (pins, 0), gamma  # optimal, as gamma_cer >= gamma
-        # repair: bring in the one outside neighbour of each half-shadowed
-        # vertex; the fixpoint is certified
-        d1, add = d0, True
-        while add:
-            add = 0
-            for s in _bits(d1):
-                row = g.adj[s] & ~d1
-                if row and not row & (row - 1):
-                    add |= row
-            d1 |= add
-        inc_mask = min(inc_mask, d1, key=int.bit_count)
+    else:
+        # leaves on strong supports are safe to leave out of any certified set
+        inc_mask = g.full_mask & ~prof.strong_leaves
     try:
         value, inc_mask = search.solve_best(pins, 0, inc_mask)
     except _NodeLimit:
@@ -691,20 +682,16 @@ def gamma_solve(g: Graph, cfg: SolverConfig | None = None) -> SolveResult:
 # Dominating / 2-dominating pairs
 # ---------------------------------------------------------------------------
 
-def find_dd2_pair(
-    g: Graph,
-    max_d_size: int | None = None,
-    *,
-    max_n: int = ORACLE_BOUND_DEFAULT,
-) -> DD2Pair | None:
+def find_dd2_pair(g: Graph, max_d_size: int | None = None) -> DD2Pair | None:
     """A disjoint (dominating, 2-dominating) pair, minimizing |D|.
 
     When the graph has minimum degree one or more and no weak supports, the
     pair is built directly: a minimum certified dominating set is a minimum
     dominating set all of whose members are illuminated, so its complement
     2-dominates.  Otherwise dominating sets are enumerated smallest first
-    (refused above ``max_n``).  With ``max_d_size`` set, any pair with
-    |D| <= max_d_size is returned, or None; a negative bound is rejected.
+    (refused above ``ORACLE_BOUND_DEFAULT`` vertices).  With ``max_d_size``
+    set, any pair with |D| <= max_d_size is returned, or None; a negative
+    bound is rejected.
     """
     if max_d_size is not None and max_d_size < 0:
         raise ValueError(f"max_d_size must be non-negative, got {max_d_size}")
@@ -714,11 +701,12 @@ def find_dd2_pair(
     if min_degree(g) >= 1 and not leaf_profile(g).weak:
         res = gamma_cer_solve(g)
         pair = DD2Pair(res.certificate, res.certificate.complement())
-        if _dominates(g, pair.d.mask) and is_2dominating(g, pair.d2):
+        # gamma_cer_solve has checked that D dominates
+        if is_2dominating(g, pair.d2):
             return None if max_d_size is not None and res.value > max_d_size else pair
-    if n > max_n:
+    if n > ORACLE_BOUND_DEFAULT:
         raise SizeLimitError(
-            f"exhaustive pair search refuses n={n} > bound {max_n}"
+            f"exhaustive pair search refuses n={n} > bound {ORACLE_BOUND_DEFAULT}"
         )
     full = g.full_mask
     top = n if max_d_size is None else min(max_d_size, n)

@@ -87,6 +87,19 @@ def test_add_remove_edge_and_vertex():
         g.remove_edge(0, 2)
 
 
+def test_edits_reject_out_of_range_vertices():
+    g = path_graph(3)
+    edits = [
+        (lambda: g.add_edge(0, 5), 5), (lambda: g.add_edge(-1, 0), -1),
+        (lambda: g.remove_edge(0, 3), 3), (lambda: g.remove_edge(0, -1), -1),
+        (lambda: g.add_vertex([0, 3]), 3), (lambda: g.add_vertex([-1]), -1),
+        (lambda: g.remove_vertex(3), 3),
+    ]
+    for edit, v in edits:
+        with pytest.raises(ValueError, match=rf"^vertex {v} out of range \[0, 3\)$"):
+            edit()
+
+
 def test_vertex_set_algebra():
     a = VertexSet.of(5, [0, 2])
     b = VertexSet.of(5, [2, 4])

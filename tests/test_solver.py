@@ -293,6 +293,47 @@ def test_incremental_propagation_matches_a_fresh_fixpoint():
     assert moves > 100 and dead > 100
 
 
+def test_certified_closure_is_the_smallest_certified_superset():
+    # with nothing pinned out, the certified fixpoint from a dominating set
+    # d lies inside every certified superset of d and is certified itself,
+    # so it is the smallest one, the incumbent a certified solve builds from
+    # its value phase; from a leaf-free d it takes no leaf of a strong support
+    import random
+
+    from certdom.domination import _certified
+    from certdom.graphs import leaf_profile
+
+    rng = random.Random(20261021)
+    graphs = [g for n in range(7) for g in enumerate_labeled_graphs(n)]
+    graphs += [random_graph(rng.randrange(7, 11), rng.choice((0.15, 0.3, 0.5)), rng)
+               for _ in range(300)]
+    grew = leaf_free = 0
+    for g in graphs:
+        prof = leaf_profile(g)
+        search = _search(g, True)
+        avoid = prof.leaves if rng.random() < 0.5 else 0
+        d = rng.getrandbits(g.n) & rng.getrandbits(g.n) & ~avoid
+        for u in range(g.n):
+            if not search._cover(d) >> u & 1:
+                cand = [v for v in range(g.n) if (search.closed[u] & ~avoid) >> v & 1]
+                d |= 1 << rng.choice(cand or [u])
+        closure, out_mask, covered = search._propagate(d, 0, search._cover(d))
+        assert out_mask == 0 and covered == g.full_mask and _certified(g, closure), g
+        free = g.full_mask & ~d
+        sub = free
+        while True:  # every subset of free, the empty one last
+            if _certified(g, d | sub):
+                assert closure & ~(d | sub) == 0, g
+            if not sub:
+                break
+            sub = (sub - 1) & free
+        if not d & prof.leaves:
+            assert not closure & prof.strong_leaves, g
+            leaf_free += prof.strong_leaves != 0
+        grew += closure != d
+    assert grew > 10000 and leaf_free > 1000
+
+
 def test_parts_match_a_pairwise_grouping():
     # _parts, given the starts of _pack_bound's scan, against grouping the
     # undominated vertices by shared allowed dominators pair by pair; None
@@ -310,7 +351,7 @@ def test_parts_match_a_pairwise_grouping():
         if state is None or state[2] == g.full_mask:
             continue
         _, out_mask, covered = state
-        search._pack_bound(out_mask, covered, g.n + 1)
+        bound = search._pack_bound(out_mask, covered, g.n + 1)
         undom, allowed = g.full_mask ^ covered, g.full_mask ^ out_mask
         groups = []
         for u in range(n):
@@ -324,6 +365,10 @@ def test_parts_match_a_pairwise_grouping():
                 groups.append((part, doms))
         want = sorted(groups, key=lambda grp: grp[0] & -grp[0]) if len(groups) > 1 else None
         assert search._parts(undom, allowed, search.starts) == want, g
+        if want is not None:
+            # the greedy packing takes the first vertex of every part, so a
+            # node that splits has room for a vertex in each (see _split)
+            assert bound >= len(want), g
         split += want is not None
     assert split > 20
 
