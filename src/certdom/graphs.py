@@ -185,6 +185,7 @@ class Graph:
         return self._full
 
     def degree(self, v: int) -> int:
+        self._check_vertices(v)
         return self.adj[v].bit_count()
 
     def degrees(self) -> list[int]:
@@ -192,12 +193,17 @@ class Graph:
 
     def closed(self, v: int) -> int:
         """Closed-neighbourhood bitmask N[v]."""
+        self._check_vertices(v)
         return self.adj[v] | (1 << v)
 
     def neighbors(self, v: int) -> tuple[int, ...]:
+        self._check_vertices(v)
         return tuple(_bits(self.adj[v]))
 
     def has_edge(self, u: int, v: int) -> bool:
+        # the range test inline, as callers probe every vertex pair
+        if not (0 <= u < self.n and 0 <= v < self.n):
+            self._check_vertices(u, v)
         return bool(self.adj[u] >> v & 1)
 
     def edges(self) -> list[tuple[int, int]]:
@@ -224,7 +230,7 @@ class Graph:
         self._check_vertices(u, v)
         if u == v:
             raise ValueError("cannot add a self-loop")
-        if self.has_edge(u, v):
+        if self.adj[u] >> v & 1:
             raise ValueError(f"edge ({u}, {v}) already present")
         rows = list(self.adj)
         rows[u] |= 1 << v
@@ -233,7 +239,7 @@ class Graph:
 
     def remove_edge(self, u: int, v: int) -> "Graph":
         self._check_vertices(u, v)
-        if not self.has_edge(u, v):
+        if not self.adj[u] >> v & 1:
             raise ValueError(f"edge ({u}, {v}) not present")
         rows = list(self.adj)
         rows[u] &= ~(1 << v)

@@ -2,9 +2,12 @@
 
 Two independent routes are provided:
 
-* ``gamma_oracle`` / ``gamma_cer_oracle`` enumerate vertex subsets by
-  cardinality then lexicographic order and return the first hit.  They are
-  the ground truth for everything else and refuse graphs above a size bound.
+* ``gamma_oracle`` / ``gamma_cer_oracle`` return the first dominating (for
+  the latter, certified) subset by cardinality then lexicographic order, and
+  ``all_min_dominating_sets`` every dominating subset of the first size that
+  has one.  All three read one subset walk, share no code with the search
+  below, leave ``SolveStats`` at zero and refuse graphs above a size bound.
+  They are the ground truth for everything else.
 
 * ``gamma_solve`` / ``gamma_cer_solve`` run a reduction-aware branch and
   bound per connected component, branching on the closed neighbourhood of an
@@ -125,50 +128,6 @@ class SolveResult:
 # Subset-enumeration oracles
 # ---------------------------------------------------------------------------
 
-def _oracle(g: Graph, certified: bool, max_n: int) -> SolveResult:
-    if g.n > max_n:
-        raise SizeLimitError(
-            f"oracle refuses n={g.n} > bound {max_n}; raise max_n explicitly"
-        )
-    closed = [g.adj[v] | 1 << v for v in range(g.n)]
-    adj = g.adj
-    full = g.full_mask
-    tested = 0
-    for k in range(g.n + 1):
-        for comb in combinations(range(g.n), k):
-            tested += 1
-            cover = 0
-            mask = 0
-            for v in comb:
-                cover |= closed[v]
-                mask |= 1 << v
-            if cover != full:
-                continue
-            if certified:
-                ok = True
-                for v in comb:
-                    outside = adj[v] & ~mask
-                    if outside and not outside & (outside - 1):
-                        ok = False
-                        break
-                if not ok:
-                    continue
-            return SolveResult(
-                k, VertexSet(g.n, mask), SolveStats(nodes_expanded=tested)
-            )
-    raise AssertionError("unreachable: the full vertex set always qualifies")
-
-
-def gamma_oracle(g: Graph, *, max_n: int = ORACLE_BOUND_DEFAULT) -> SolveResult:
-    """Ground-truth domination number by subset enumeration."""
-    return _oracle(g, certified=False, max_n=max_n)
-
-
-def gamma_cer_oracle(g: Graph, *, max_n: int = ORACLE_BOUND_DEFAULT) -> SolveResult:
-    """Ground-truth certified domination number by subset enumeration."""
-    return _oracle(g, certified=True, max_n=max_n)
-
-
 def _dominating_masks(g: Graph, k: int) -> Iterator[int]:
     """Masks of the dominating k-subsets, in lexicographic order."""
     closed = [g.adj[v] | 1 << v for v in range(g.n)]
@@ -183,12 +142,39 @@ def _dominating_masks(g: Graph, k: int) -> Iterator[int]:
             yield mask
 
 
+def _oracle(g: Graph, certified: bool, max_n: int) -> SolveResult:
+    if g.n > max_n:
+        raise SizeLimitError(
+            f"oracle refuses n={g.n} > bound {max_n}; raise max_n explicitly"
+        )
+    for k in range(g.n + 1):
+        for mask in _dominating_masks(g, k):
+            if not certified or _certified(g, mask):
+                return SolveResult(k, VertexSet(g.n, mask))
+    raise AssertionError("unreachable: the full vertex set always qualifies")
+
+
+def gamma_oracle(g: Graph, *, max_n: int = ORACLE_BOUND_DEFAULT) -> SolveResult:
+    """Ground-truth domination number by subset enumeration."""
+    return _oracle(g, certified=False, max_n=max_n)
+
+
+def gamma_cer_oracle(g: Graph, *, max_n: int = ORACLE_BOUND_DEFAULT) -> SolveResult:
+    """Ground-truth certified domination number by subset enumeration."""
+    return _oracle(g, certified=True, max_n=max_n)
+
+
 def all_min_dominating_sets(g: Graph, *, gamma: int | None = None) -> list[VertexSet]:
-    """Every minimum dominating set, in lexicographic order.  A known
-    domination number ``gamma`` spares the oracle's search for it."""
-    if gamma is None or g.n > ORACLE_BOUND_DEFAULT:  # the oracle refuses larger graphs
-        gamma = gamma_oracle(g).value
-    return [VertexSet(g.n, mask) for mask in _dominating_masks(g, gamma)]
+    """Every minimum dominating set, in lexicographic order: the whole first
+    size that has a dominating set, or only size ``gamma`` when it is known."""
+    if g.n > ORACLE_BOUND_DEFAULT:
+        raise SizeLimitError(f"enumeration refuses n={g.n} > bound {ORACLE_BOUND_DEFAULT}")
+    sets: list[VertexSet] = []
+    for k in range(g.n + 1) if gamma is None else (gamma,):
+        sets = [VertexSet(g.n, mask) for mask in _dominating_masks(g, k)]
+        if sets:
+            break
+    return sets
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ independent of the worker count.
 from __future__ import annotations
 
 import multiprocessing
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Callable, Iterable, Iterator, Optional
@@ -288,11 +289,10 @@ def _c_strong_trim(g, cache):
 
 @_claim("THM3.3", "connected: value <= gamma + |S1|")
 def _c_bound_connected(g, cache):
+    # COR3.4's bound, stated for connected graphs
     if g.n < 1 or not is_connected(g):
         return _NA
-    got = cache.gamma_cer(g)
-    bound = cache.gamma(g) + len(weak_supports(g))
-    return _check(got <= bound, value=got, bound=bound)
+    return _c_bound_any(g, cache)
 
 
 @_claim("COR3.4", "value <= gamma + |S1|")
@@ -340,11 +340,10 @@ _WITNESS_N_CAP = 16
 
 @_claim("LEM4.3", "connected n >= 3: equality iff a weak-support-slack gamma-set exists")
 def _c_eq_witness_connected(g, cache):
+    # COR4.4's equivalence, stated for connected graphs of order >= 3
     if not 3 <= g.n <= _WITNESS_N_CAP or not is_connected(g):
         return _NA
-    eq = cache.gamma_cer(g) == cache.gamma(g)
-    wit = equality_witness(g, cache.min_dom_masks(g)) is not None
-    return _check(eq == wit, equality=eq, witness_exists=wit)
+    return _c_eq_witness(g, cache)
 
 
 @_claim("COR4.4", "equality iff a weak-support-slack gamma-set exists")
@@ -654,14 +653,13 @@ def evaluate_graph(
     return TheoremReport(encode_graph6(g), tuple(outcomes))
 
 
-def _suite_graphs(cfg: SuiteConfig) -> list[Graph]:
+def _suite_graphs(cfg: SuiteConfig) -> Iterable[Graph]:
+    """A graph6 file parsed whole, or the enumeration as it is consumed."""
     if cfg.graph6_file is not None:
         with open(cfg.graph6_file, "r", encoding="ascii") as fh:
             return parse_graph6_lines(fh.read())
-    out: list[Graph] = []
-    for n in range(cfg.n_max + 1):
-        out.extend(enumerate_labeled_graphs(n, allow_large=cfg.allow_large))
-    return out
+    return (g for n in range(cfg.n_max + 1)
+            for g in enumerate_labeled_graphs(n, allow_large=cfg.allow_large))
 
 
 _worker_state: dict = {}
@@ -683,35 +681,31 @@ def run_suite(
 ) -> SuiteSummary:
     """Check every enumerated/loaded graph; abort on the first failure.
 
-    Reports are consumed in input order whatever the worker count, so the
-    summary and the failing graph (if any) are deterministic.  ``cache`` is
-    honoured only in single-process runs.
+    One loop reads the reports, made in this process when ``jobs`` is 1 and
+    by a worker pool otherwise.  Enumerated graphs are checked as they are
+    generated; a graph6 file is read whole first, so a bad record fails
+    before any check.  Reports are consumed in input order whatever the
+    worker count, so the summary and the failing graph (if any) are
+    deterministic.  ``cache`` is honoured only in single-process runs.
     """
-    ids = cfg.claims if cfg.claims is not None else claim_ids()
+    ids = tuple(cfg.claims) if cfg.claims is not None else claim_ids()
     graphs = _suite_graphs(cfg)
     summary = SuiteSummary()
-
-    def consume(report: TheoremReport) -> bool:
-        summary.absorb(report)
-        if on_report is not None:
-            on_report(report)
-        return bool(report.failures)
-
-    if cfg.jobs == 1:
-        local = cache if cache is not None else SolveCache()
-        for g in graphs:
-            if consume(evaluate_graph(g, ids, local)):
+    pool = None if cfg.jobs == 1 else multiprocessing.Pool(
+        cfg.jobs, initializer=_worker_init, initargs=(ids,))
+    with pool or nullcontext():  # leaving it terminates the workers
+        if pool is None:
+            local = cache if cache is not None else SolveCache()
+            reports = (evaluate_graph(g, ids, local) for g in graphs)
+        else:
+            reports = pool.imap(_worker_eval, graphs, chunksize=64)
+        for report in reports:
+            summary.absorb(report)
+            if on_report is not None:
+                on_report(report)
+            if report.failures:
                 summary.aborted = True
                 break
-    else:
-        with multiprocessing.Pool(
-            cfg.jobs, initializer=_worker_init, initargs=(tuple(ids),)
-        ) as pool:
-            for report in pool.imap(_worker_eval, graphs, chunksize=64):
-                if consume(report):
-                    summary.aborted = True
-                    pool.terminate()
-                    break
     return summary
 
 

@@ -100,6 +100,22 @@ def test_edits_reject_out_of_range_vertices():
             edit()
 
 
+def test_queries_reject_out_of_range_vertices():
+    g = path_graph(3)
+    queries = [
+        (lambda: g.has_edge(-1, 1), -1), (lambda: g.has_edge(5, 0), 5),
+        (lambda: g.has_edge(0, 5), 5), (lambda: g.has_edge(0, -2), -2),
+        (lambda: g.degree(-1), -1), (lambda: g.degree(3), 3),
+        (lambda: g.neighbors(7), 7), (lambda: g.neighbors(-1), -1),
+        (lambda: g.closed(-1), -1), (lambda: g.closed(3), 3),
+    ]
+    for query, v in queries:
+        with pytest.raises(ValueError, match=rf"^vertex {v} out of range \[0, 3\)$"):
+            query()
+    assert g.has_edge(0, 1) and not g.has_edge(0, 2)
+    assert g.degree(1) == 2 and g.neighbors(1) == (0, 2) and g.closed(0) == 0b011
+
+
 def test_vertex_set_algebra():
     a = VertexSet.of(5, [0, 2])
     b = VertexSet.of(5, [2, 4])

@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -73,6 +74,38 @@ def test_oracle_trivial_graphs():
     assert gamma_oracle(empty_graph(0)).value == 0
     assert gamma_cer_oracle(empty_graph(0)).value == 0
     assert gamma_cer_oracle(complete_graph(1)).value == 1
+
+
+def test_references_match_the_definitions_over_every_raw_mask():
+    # the answers straight from the definitions: every one of the 2^n masks,
+    # in (size, sorted vertex list) order, tested by predicates read off
+    # g.adj alone
+    def order(n):
+        return sorted(range(1 << n), key=lambda m: (
+            bin(m).count("1"), [v for v in range(n) if m >> v & 1]))
+
+    def dominating(g, m):
+        return all(m >> v & 1 or g.adj[v] & m for v in range(g.n))
+
+    def certified(g, m):
+        return dominating(g, m) and all(
+            bin(g.adj[v] & ~m).count("1") != 1 for v in range(g.n) if m >> v & 1)
+
+    rng = random.Random(20161)
+    graphs = [g for n in range(6) for g in enumerate_labeled_graphs(n)]
+    graphs += [random_graph(n, p, rng) for n in range(6, 10) for p in (0.2, 0.4, 0.6)]
+    for g in graphs:
+        masks = order(g.n)
+        dom = [m for m in masks if dominating(g, m)]
+        cer = next(m for m in masks if certified(g, m))
+        gamma = bin(dom[0]).count("1")
+        assert gamma_oracle(g).value == gamma
+        assert gamma_oracle(g).certificate.mask == dom[0], g
+        assert gamma_cer_oracle(g).value == bin(cer).count("1")
+        assert gamma_cer_oracle(g).certificate.mask == cer, g
+        want = [m for m in dom if bin(m).count("1") == gamma]
+        assert [d.mask for d in all_min_dominating_sets(g)] == want, g
+        assert [d.mask for d in all_min_dominating_sets(g, gamma=gamma)] == want, g
 
 
 # ---------------------------------------------------------------------------

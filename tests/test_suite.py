@@ -129,6 +129,30 @@ def test_run_suite_aborts_on_first_failure(monkeypatch):
     assert reports[-1].graph_id == target  # nothing after the failing graph
 
 
+def test_run_suite_reports_as_graphs_are_generated(monkeypatch):
+    from certdom import suite as suite_mod
+
+    yielded = 0
+    enumerate_all = suite_mod.enumerate_labeled_graphs
+
+    def counted(n, **kwargs):
+        nonlocal yielded
+        for g in enumerate_all(n, **kwargs):
+            yielded += 1
+            yield g
+
+    class FirstReport(Exception):
+        pass
+
+    def stop(report):
+        raise FirstReport(yielded)
+
+    monkeypatch.setattr(suite_mod, "enumerate_labeled_graphs", counted)
+    with pytest.raises(FirstReport) as got:
+        run_suite(SuiteConfig(n_max=6), on_report=stop)
+    assert got.value.args == (1,)
+
+
 def test_ng_pair_sets_match_small_order_tables():
     assert ng_pair_set(2) == {(4, 4)}
     assert ng_pair_set(3) == {(4, 3)}
