@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .analysis import bound_report, edge_effects, nordhaus_gaddum, vertex_effects
@@ -31,6 +30,8 @@ from .domination import (
 )
 from .families import FamilySpecError, build_family, parse_family_spec
 from .graphs import (
+    _G6_MAX,
+    _G6_MIN,
     Graph,
     GraphParseError,
     encode_edge_list,
@@ -46,8 +47,6 @@ from .solver import (
     gamma_solve,
 )
 from .suite import SuiteConfig, claim_ids, run_suite
-
-_G6_CHARS = frozenset(chr(c) for c in range(63, 127))
 
 
 def _read_input(path: str) -> str:
@@ -65,7 +64,7 @@ def _parse_graph(text: str, fmt: str | None) -> Graph:
     if fmt is None:
         if first.startswith("n ") or first == "n":
             fmt = "edgelist"
-        elif set(first) <= _G6_CHARS:
+        elif all(_G6_MIN <= ord(ch) <= _G6_MAX for ch in first):
             fmt = "graph6"
         else:
             raise GraphParseError(
@@ -205,15 +204,11 @@ def _cmd_dd2(args) -> int:
 
 def _cmd_suite(args) -> int:
     claims = tuple(args.claims.split(",")) if args.claims else None
-    jobs = args.jobs
-    if jobs is None:
-        jobs = int(os.environ.get("CERTDOM_JOBS", "1"))
     cfg = SuiteConfig(
         n_max=args.n_max,
         graph6_file=args.graph6_file,
         claims=claims,
-        jobs=jobs,
-        allow_large=args.unsafe_large,
+        jobs=args.jobs,
     )
 
     def on_report(report):
@@ -307,10 +302,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--claims", default=None, metavar="LIST",
                    help="comma-separated claim ids (default: all); "
                         f"known: {','.join(claim_ids())}")
-    p.add_argument("--jobs", type=int, default=None, metavar="J",
-                   help="worker processes (default: $CERTDOM_JOBS or 1)")
-    p.add_argument("--unsafe-large", action="store_true",
-                   help="allow enumeration beyond the internal cap")
+    p.add_argument("--jobs", type=int, default=1, metavar="J",
+                   help="worker processes (default: 1)")
     p.add_argument("--verbose", action="store_true",
                    help="print one JSON report line per graph")
     p.set_defaults(fn=_cmd_suite)

@@ -115,10 +115,11 @@ def equality_witness(g: Graph, min_dom_masks: Iterable[int]) -> int | None:
     support a non-leaf neighbour outside the set, or None.
 
     Given every minimum dominating set, such a set exists iff the domination
-    and certified domination numbers agree.  Leaf-freeness is essential:
-    minimum certified dominating sets never contain a leaf, and leaf-heavy
-    gamma-sets (e.g. both ends of a 4-path) satisfy the slack condition
-    without certifying anything.
+    and certified domination numbers agree.  Leaf-freeness is essential: no
+    certified set of size gamma holds a leaf (it would hold the leaf's
+    support too, so dropping the leaf would leave a dominating set of size
+    gamma - 1), and leaf-heavy gamma-sets (e.g. both ends of a 4-path)
+    satisfy the slack condition without certifying anything.
     """
     prof = leaf_profile(g)
     lm = prof.leaves
@@ -144,11 +145,7 @@ class DD2Pair:
 
 
 def is_dd2_pair(g: Graph, p: DD2Pair) -> bool:
-    """True iff p.d dominates g, p.d2 2-dominates g, and the two are disjoint."""
+    """True iff p.d dominates g and p.d2 2-dominates g (a DD2Pair is disjoint)."""
     if p.d.n != g.n:
         raise ValueError("pair belongs to a different graph")
-    return (
-        p.d.mask & p.d2.mask == 0
-        and _dominates(g, p.d.mask)
-        and is_2dominating(g, p.d2)
-    )
+    return _dominates(g, p.d.mask) and is_2dominating(g, p.d2)

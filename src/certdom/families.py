@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Union
+from typing import Callable, Union
 
 from .graphs import Graph
 
@@ -30,22 +30,6 @@ class FamilySpecError(ValueError):
 
 
 SpecArg = Union[int, "FamilySpec", Graph]
-
-_KINDS = {
-    "path": 1,
-    "cycle": 1,
-    "complete": 1,
-    "complete-bipartite": 2,
-    "wheel": 1,
-    "empty": 1,
-    "corona": 2,
-    "diadem": 1,
-    "fig1": 1,
-    "fig3a": 1,
-    "fig3b": 1,
-    "fig4": 1,
-}
-_SUBSPEC_KINDS = {"corona", "diadem"}
 
 
 @dataclass(frozen=True)
@@ -60,14 +44,15 @@ class FamilySpec:
     args: tuple[SpecArg, ...]
 
     def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
+        if self.kind not in _FAMILIES:
             raise FamilySpecError(f"unknown family kind {self.kind!r}")
-        if len(self.args) != _KINDS[self.kind]:
+        params = _FAMILIES[self.kind][1]
+        if len(self.args) != len(params):
             raise FamilySpecError(
-                f"{self.kind} takes {_KINDS[self.kind]} argument(s), got {len(self.args)}"
+                f"{self.kind} takes {len(params)} argument(s), got {len(self.args)}"
             )
-        for a in self.args:
-            if self.kind in _SUBSPEC_KINDS:
+        for a, param in zip(self.args, params):
+            if param is Graph:
                 if not isinstance(a, (FamilySpec, Graph)):
                     raise FamilySpecError(
                         f"{self.kind} arguments must be family specs or graphs"
@@ -216,25 +201,28 @@ def fig4_graph(i: int) -> Graph:
     return Graph.from_edges(1 + 2 * i, edges)
 
 
+# kind -> (builder, the type of each argument); a Graph argument may also be
+# given as a FamilySpec, written in a textual spec as "(SPEC)"
+_FAMILIES: dict[str, tuple[Callable[..., Graph], tuple[type, ...]]] = {
+    "path": (path_graph, (int,)),
+    "cycle": (cycle_graph, (int,)),
+    "complete": (complete_graph, (int,)),
+    "complete-bipartite": (complete_bipartite_graph, (int, int)),
+    "wheel": (wheel_graph, (int,)),
+    "empty": (empty_graph, (int,)),
+    "corona": (corona, (Graph, Graph)),
+    "diadem": (diadem, (Graph,)),
+    "fig1": (fig1_graph, (int,)),
+    "fig3a": (fig3a_graph, (int,)),
+    "fig3b": (fig3b_graph, (int,)),
+    "fig4": (fig4_graph, (int,)),
+}
+
+
 def build_family(spec: FamilySpec) -> Graph:
     """Materialize a FamilySpec into a graph, validating parameter ranges."""
-    kind, args = spec.kind, spec.args
-    if kind in _SUBSPEC_KINDS:
-        graphs = [a if isinstance(a, Graph) else build_family(a) for a in args]
-        return corona(*graphs) if kind == "corona" else diadem(graphs[0])
-    builder = {
-        "path": path_graph,
-        "cycle": cycle_graph,
-        "complete": complete_graph,
-        "complete-bipartite": complete_bipartite_graph,
-        "wheel": wheel_graph,
-        "empty": empty_graph,
-        "fig1": fig1_graph,
-        "fig3a": fig3a_graph,
-        "fig3b": fig3b_graph,
-        "fig4": fig4_graph,
-    }[kind]
-    return builder(*args)
+    builder = _FAMILIES[spec.kind][0]
+    return builder(*(build_family(a) if isinstance(a, FamilySpec) else a for a in spec.args))
 
 
 # ---------------------------------------------------------------------------
@@ -270,11 +258,11 @@ def parse_family_spec(text: str) -> FamilySpec:
             raise FamilySpecError("expected a family name")
         kind = tokens[pos].lower()
         pos += 1
-        if kind not in _KINDS:
+        if kind not in _FAMILIES:
             raise FamilySpecError(f"unknown family kind {kind!r}")
         args: list[SpecArg] = []
-        for _ in range(_KINDS[kind]):
-            if kind in _SUBSPEC_KINDS:
+        for param in _FAMILIES[kind][1]:
+            if param is Graph:
                 if pos >= len(tokens) or tokens[pos] != "(":
                     raise FamilySpecError(f"{kind} arguments must be parenthesized specs")
                 pos += 1
@@ -283,7 +271,7 @@ def parse_family_spec(text: str) -> FamilySpec:
                     raise FamilySpecError("missing closing parenthesis")
                 pos += 1
             else:
-                if pos >= len(tokens) or not tokens[pos].lstrip("-").isdigit():
+                if pos >= len(tokens) or not tokens[pos].removeprefix("-").isdigit():
                     raise FamilySpecError(f"{kind} expects integer arguments")
                 args.append(int(tokens[pos]))
                 pos += 1

@@ -142,11 +142,9 @@ def _dominating_masks(g: Graph, k: int) -> Iterator[int]:
             yield mask
 
 
-def _oracle(g: Graph, certified: bool, max_n: int) -> SolveResult:
-    if g.n > max_n:
-        raise SizeLimitError(
-            f"oracle refuses n={g.n} > bound {max_n}; raise max_n explicitly"
-        )
+def _oracle(g: Graph, certified: bool) -> SolveResult:
+    if g.n > ORACLE_BOUND_DEFAULT:
+        raise SizeLimitError(f"oracle refuses n={g.n} > bound {ORACLE_BOUND_DEFAULT}")
     for k in range(g.n + 1):
         for mask in _dominating_masks(g, k):
             if not certified or _certified(g, mask):
@@ -154,14 +152,14 @@ def _oracle(g: Graph, certified: bool, max_n: int) -> SolveResult:
     raise AssertionError("unreachable: the full vertex set always qualifies")
 
 
-def gamma_oracle(g: Graph, *, max_n: int = ORACLE_BOUND_DEFAULT) -> SolveResult:
+def gamma_oracle(g: Graph) -> SolveResult:
     """Ground-truth domination number by subset enumeration."""
-    return _oracle(g, certified=False, max_n=max_n)
+    return _oracle(g, certified=False)
 
 
-def gamma_cer_oracle(g: Graph, *, max_n: int = ORACLE_BOUND_DEFAULT) -> SolveResult:
+def gamma_cer_oracle(g: Graph) -> SolveResult:
     """Ground-truth certified domination number by subset enumeration."""
-    return _oracle(g, certified=True, max_n=max_n)
+    return _oracle(g, certified=True)
 
 
 def all_min_dominating_sets(g: Graph, *, gamma: int | None = None) -> list[VertexSet]:

@@ -62,18 +62,17 @@ ENUMERATION_CAP = 7
 CACHE_MAX_ENTRIES = 400_000
 
 
-def enumerate_labeled_graphs(n: int, *, allow_large: bool = False) -> Iterator[Graph]:
+def enumerate_labeled_graphs(n: int) -> Iterator[Graph]:
     """All 2^(n(n-1)/2) labeled simple graphs in lexicographic edge-mask order.
 
     Bit k of the mask is the k-th vertex pair in lexicographic (i, j) order.
-    Refuses n above the internal cap unless ``allow_large`` is set.
+    Refuses n above ``ENUMERATION_CAP``.
     """
     if n < 0:
         raise ValueError("vertex count must be non-negative")
-    if n > ENUMERATION_CAP and not allow_large:
+    if n > ENUMERATION_CAP:
         raise ValueError(
-            f"refusing to enumerate n={n} > {ENUMERATION_CAP} labeled graphs "
-            "without allow_large"
+            f"refusing to enumerate n={n} > {ENUMERATION_CAP} labeled graphs"
         )
     pairs = list(combinations(range(n), 2))
     for mask in range(1 << len(pairs)):
@@ -553,25 +552,25 @@ def _c_dd2(g, cache):
 class SuiteConfig:
     """What to enumerate and which claims to run.
 
-    Internal enumeration is refused above n_max = 7 unless ``allow_large``
-    (order 7 already means 2,097,152 graphs; the default suite stops at 6).
+    Internal enumeration is refused above n_max = 7 (order 7 already means
+    2,097,152 graphs; the default suite stops at 6); larger graphs come from
+    a graph6 file, which takes any order.
     """
 
     n_max: int = 6
     graph6_file: str | None = None
     claims: tuple[str, ...] | None = None
     jobs: int = 1
-    allow_large: bool = False
 
     def __post_init__(self) -> None:
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
         if self.n_max < 0:
             raise ValueError(f"n_max must be non-negative, got {self.n_max}")
-        if self.graph6_file is None and self.n_max > ENUMERATION_CAP and not self.allow_large:
+        if self.graph6_file is None and self.n_max > ENUMERATION_CAP:
             raise ValueError(
                 f"n_max {self.n_max} exceeds the internal enumeration cap "
-                f"{ENUMERATION_CAP}; pass allow_large to override"
+                f"{ENUMERATION_CAP}; check larger graphs from a graph6 file"
             )
         if self.claims is not None:
             unknown = [c for c in self.claims if c not in _REGISTRY]
@@ -658,8 +657,7 @@ def _suite_graphs(cfg: SuiteConfig) -> Iterable[Graph]:
     if cfg.graph6_file is not None:
         with open(cfg.graph6_file, "r", encoding="ascii") as fh:
             return parse_graph6_lines(fh.read())
-    return (g for n in range(cfg.n_max + 1)
-            for g in enumerate_labeled_graphs(n, allow_large=cfg.allow_large))
+    return (g for n in range(cfg.n_max + 1) for g in enumerate_labeled_graphs(n))
 
 
 _worker_state: dict = {}

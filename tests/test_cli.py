@@ -216,13 +216,6 @@ def test_suite_corrupt_graph6_file_is_usage_error(tmp_path, capsys):
     assert "line 2" in err
 
 
-def test_suite_jobs_env_default(capsys, monkeypatch):
-    monkeypatch.setenv("CERTDOM_JOBS", "2")
-    code, out, _ = run_cli(capsys, "suite", "--n-max", "3")
-    assert code == 0
-    assert json.loads(out.splitlines()[-1])["graphs_checked"] == 12
-
-
 def test_suite_failure_exit_code(capsys, monkeypatch):
     from certdom import suite as suite_mod
 

@@ -135,7 +135,8 @@ def test_parse_family_spec_round_trips():
 
 
 def test_parse_family_spec_errors():
-    for bad in ("", "path", "path x", "corona cycle 5", "path 3 4", "diadem (path 2", "frob 3"):
+    for bad in ("", "path", "path x", "corona cycle 5", "path 3 4", "diadem (path 2", "frob 3",
+                "path --3"):
         with pytest.raises(FamilySpecError):
             parse_family_spec(bad)
 

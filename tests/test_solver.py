@@ -67,7 +67,6 @@ def test_oracle_certificates_pass_their_predicates(rng):
 def test_oracle_refuses_large_graphs():
     with pytest.raises(SizeLimitError):
         gamma_oracle(empty_graph(21))
-    assert gamma_oracle(empty_graph(21), max_n=21).value == 21
 
 
 def test_oracle_trivial_graphs():

@@ -33,8 +33,6 @@ def test_enumeration_order_is_lexicographic_in_the_edge_mask():
 def test_enumeration_cap():
     with pytest.raises(ValueError, match="refusing"):
         next(enumerate_labeled_graphs(8))
-    it = enumerate_labeled_graphs(8, allow_large=True)
-    assert next(it).n == 8
 
 
 def test_claim_registry():
@@ -78,7 +76,6 @@ def test_run_suite_rejects_unknown_claims():
 def test_run_suite_rejects_oversize_enumeration():
     with pytest.raises(ValueError, match="cap"):
         SuiteConfig(n_max=8)
-    SuiteConfig(n_max=8, allow_large=True)
 
 
 def test_run_suite_graph6_file(tmp_path):
