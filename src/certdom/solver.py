@@ -46,8 +46,13 @@ smallest (by sorted vertex list) is returned, found by self-reduction.  Each
 vertex in ascending order is kept when an optimal witness (at first the value
 phase's optimum) holds it or a first-hit run of the same branch and bound
 finds one that does, and is pinned out otherwise.  The domination
-certificate phase pins the leaves of strong supports out, as every minimum
-dominating set does, which forces the strong supports in.  Every component's
+certificate phase pins out what the lex-smallest optimum cannot hold: the
+leaves of strong supports, which no minimum dominating set holds (this
+forces the strong supports in), and every vertex u with a neighbour w < u
+whose closed neighbourhood holds N[u], since trading u for w keeps the set
+dominating and wins the tie break (neighbourhood dominance, Alber, Fellows
+& Niedermeier 2004, restricted by index).  The exchange does not keep a set
+certified, so the certified phase has no such pin.  Every component's
 value is settled before any certificate phase starts, so after a node limit
 there the values stand and the witnesses are returned, unproven only in their
 tie break.  Once the limit has fired every later search stops at its first
@@ -63,7 +68,9 @@ from math import lcm
 from typing import Iterator
 
 from .domination import DD2Pair, _certified, _dominates, is_2dominating
-from .graphs import Graph, VertexSet, _bits, components, leaf_profile, min_degree, supports_mask
+from .graphs import (
+    Graph, VertexSet, _bits, _mask_of, components, leaf_profile, min_degree, supports_mask,
+)
 
 ORACLE_BOUND_DEFAULT = 20
 
@@ -555,6 +562,26 @@ class _Search:
         return chosen
 
 
+def _lower_covers(closed: tuple[int, ...]) -> dict[int, int]:
+    """u -> rep(u), the lowest w with N[u] inside N[w], for each u that has
+    such a w below it; one check per edge, as w is a neighbour of u.  No
+    rep(u) has one itself: a w' below it with N[w] inside N[w'] would cover
+    N[u] too.  The lex-smallest gamma-set D holds no such u: with w in D,
+    D - u still dominates; without, D - u + w is a gamma-set that wins the
+    tie break at w."""
+    rep = {}
+    for u, row in enumerate(closed):
+        lower = row & ((1 << u) - 1)
+        while lower:
+            low = lower & -lower
+            lower ^= low
+            w = low.bit_length() - 1
+            if not row & ~closed[w]:
+                rep[u] = w
+                break
+    return rep
+
+
 def _component(
     g: Graph, cfg: SolverConfig, stats: SolveStats, certified: bool
 ) -> tuple[_Search, int | None, int, tuple[int, int], int | None]:
@@ -565,14 +592,20 @@ def _component(
     with reductions on), proves gamma with the leaves pinned out, harmless
     for n >= 3 as a support stands in for its leaf; propagation forces the
     supports in.  In gamma mode its optimum is the value, and the
-    certificate phase pins the leaves of strong supports out, which forces
-    those supports in: every gamma-set holds them, as two leaves could trade
-    for their support and a leaf beside its support is redundant.  Certified
-    mode switches the same search to the certified rules, closes the
-    optimum, or the best set of a stopped value phase, under them into the
-    smallest certified superset, and takes that as the incumbent.  After a
-    node limit the best set found stands; otherwise the optimal set returned
-    seeds ``search.lex_first`` under the pins.
+    certificate phase pins out the leaves of strong supports, which forces
+    those supports in (every gamma-set holds them, as two leaves could trade
+    for their support and a leaf beside its support is redundant), and every
+    vertex of ``_lower_covers``, which the lex-smallest gamma-set never
+    holds.  The optimum seeds lex_first with each such vertex traded for its
+    rep.  The greedy incumbent and the value phase's branches take w before
+    u, and only a strictly smaller set replaces the incumbent, so their
+    optimum leaves nothing to trade; the trade keeps the witness within the
+    pins whatever the incumbent.  Certified mode switches the same search to
+    the certified rules, closes the optimum, or the best set of a stopped
+    value phase, under them into the smallest certified superset, and takes
+    that as the incumbent.  After a node limit the best set found stands;
+    otherwise the optimal set returned seeds ``search.lex_first`` under the
+    pins.
     """
     prof = leaf_profile(g)
     search = _Search(g, False, stats, cfg.node_limit)
@@ -585,7 +618,15 @@ def _component(
         except _NodeLimit:
             d0 = search.best_mask
     if not certified:
-        return search, gamma, d0, (0, prof.strong_leaves), gamma
+        rep = _lower_covers(search.closed)
+        lex_out = _mask_of(rep)
+        if gamma is not None and d0 & lex_out:
+            # an optimum stays one when each pinned u trades for rep(u)
+            moved = d0 & lex_out
+            d0 = d0 & ~moved | _mask_of(rep[u] for u in _bits(moved))
+            if d0.bit_count() != gamma:
+                raise AssertionError("the witness shrank under the lex pins; solver bug")
+        return search, gamma, d0, (0, prof.strong_leaves | lex_out), gamma
     search.certified = True
     pins = supports_mask(g) if cfg.use_reductions else 0
     stats.forced_vertices += pins.bit_count()

@@ -95,9 +95,10 @@ def _milp_lex_min(g: Graph, value: int) -> list[int]:
 
 
 def test_gamma_certificates_on_sparse_graphs_are_the_milp_lex_min():
-    # a random recursive tree and one with two chords, n = 200: the search
-    # splits into independent parts there, and the certificate must still
-    # be the lex-smallest gamma-set
+    # a random recursive tree and one with two chords, n = 200, each also
+    # with its labels reversed: the certificate must be the lex-smallest
+    # gamma-set.  Reversed, every leaf sits below its parent, so the lex
+    # pins leave the leaves open and the search splits into independent parts
     rng = random.Random(20261019)
     tree = [(v, rng.randrange(v)) for v in range(1, 200)]
     chords = set(tree)
@@ -105,8 +106,13 @@ def test_gamma_certificates_on_sparse_graphs_are_the_milp_lex_min():
         u, v = sorted(rng.sample(range(200), 2))
         if (v, u) not in chords:
             chords.add((u, v))
-    for g in (Graph.from_edges(200, tree), Graph.from_edges(200, sorted(chords))):
-        res = gamma_solve(g)
-        assert res.proven and res.stats.parts_split > 0
-        assert res.value == _milp_value(g, certified=False)
-        assert res.certificate.to_list() == _milp_lex_min(g, res.value)
+    for edges in (tree, sorted(chords)):
+        for reverse in (False, True):
+            g = Graph.from_edges(200, [(199 - u, 199 - v) for u, v in edges]
+                                 if reverse else edges)
+            res = gamma_solve(g)
+            assert res.proven
+            if reverse:
+                assert res.stats.parts_split > 0
+            assert res.value == _milp_value(g, certified=False)
+            assert res.certificate.to_list() == _milp_lex_min(g, res.value)

@@ -30,6 +30,7 @@ from certdom import (
     path_graph,
     wheel_graph,
 )
+from certdom import solver
 from certdom.suite import enumerate_labeled_graphs
 
 from conftest import STATS_KEYS, random_graph, seeded_gnp_40
@@ -227,8 +228,6 @@ def test_both_solves_on_a_dense_gnp_stay_small():
 
 
 def _search(g, certified):
-    from certdom import solver
-
     return solver._Search(g, certified, solver.SolveStats())
 
 
@@ -591,7 +590,7 @@ def test_a_stopped_solve_counts_one_node_past_its_limit():
 # gamma_cer_solve and gamma_cer_solve without reductions.  It pins the search
 # tree, not only the answers: a change to a propagation rule or a bound that
 # expands other nodes moves it.
-_SEARCH_N5_SHA256 = "b4be54c61de19d5698d120d86a5edf7b342db15944f23d09ee7dfed620815c56"
+_SEARCH_N5_SHA256 = "515d5a1dcf8c0f64a1ba7460fdfa1cb733b666d5d6ddcffbecda5cc02780d5d1"
 
 
 def test_search_fingerprint_on_every_graph_of_order_5():
@@ -623,11 +622,49 @@ def test_gamma_on_a_tree_corona_is_proven_with_the_lex_first_set():
     res = gamma_solve(g, cut)
     assert res.proven and res.value == res.gamma == 100 == _tree_gamma(g)
     assert res.certificate.to_list() == list(range(100))
-    # relabeled, the value still comes from the leaf-free value phase
+    # relabeled, any one vertex of each pair still makes a gamma-set, so the
+    # lex-smallest takes the lower of each; the lex pins rule out every
+    # pendant above its base, so the search stays small
     perm = list(range(200))
     rng.shuffle(perm)
     res = gamma_solve(relabel(g, perm), cut)
-    assert res.value == res.gamma == 100
+    assert res.proven and res.value == res.gamma == 100
+    assert res.certificate.to_list() == sorted(min(perm[b], perm[100 + b]) for b in range(100))
+
+
+def test_lex_pins_rule_out_no_vertex_of_the_lex_smallest_gamma_set():
+    # u is pinned out of the gamma certificate phase when a neighbour w < u
+    # has N[u] inside N[w]; the oracle's lex-smallest gamma-set never holds
+    # one, and no rep(u) is pinned itself
+    for n in range(7):
+        for g in enumerate_labeled_graphs(n):
+            rep = solver._lower_covers(tuple(g.adj[v] | 1 << v for v in range(n)))
+            assert not set(rep.values()) & rep.keys(), g
+            assert not gamma_oracle(g).certificate.mask & sum(1 << u for u in rep), g
+
+
+def test_lex_pins_trade_the_value_phase_witness(monkeypatch):
+    # triangles 0-1-2 and 3-4-5 joined by 2-3: 0 pins out 1, and 3 pins out
+    # 4 and 5.  An incumbent {2, 5} is already optimal, so the value phase
+    # keeps it, and lex_first must get it as {2, 3}
+    g = Graph.from_edges(6, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (3, 5), (4, 5)])
+    monkeypatch.setattr(solver._Search, "greedy_cover", lambda self, out=0: 0b100100)
+    witnesses = []
+    lex_first = solver._Search.lex_first
+
+    def spy(self, size, in_mask, out_mask, witness):
+        witnesses.append(witness)
+        return lex_first(self, size, in_mask, out_mask, witness)
+
+    monkeypatch.setattr(solver._Search, "lex_first", spy)
+    res = gamma_solve(g)
+    assert witnesses == [0b001100]
+    assert res.proven and res.certificate.to_list() == gamma_oracle(g).certificate.to_list() == [0, 3]
+    # a claimed optimum that shrinks under the trade is a solver bug, also
+    # under python -O
+    monkeypatch.setattr(solver._Search, "solve_best", lambda self, i, o, inc: (3, 0b001011))
+    with pytest.raises(AssertionError, match="shrank under the lex pins"):
+        gamma_solve(g)
 
 
 def test_solver_value_never_n_minus_1(rng):
@@ -748,7 +785,6 @@ def _eager_greedy_cover(g, out_mask):
 def test_greedy_cover_matches_eager_greedy(rng):
     import random
 
-    from certdom import solver
     from certdom.graphs import leaf_mask
 
     def greedy(g, out_mask):
@@ -792,8 +828,6 @@ def test_all_min_dominating_sets_lex_order(rng):
 
 
 def test_all_min_dominating_sets_with_known_gamma_runs_no_oracle(rng, monkeypatch):
-    from certdom import solver
-
     graphs = [random_graph(rng.randrange(1, 8), 0.4, rng) for _ in range(20)]
     expected = [all_min_dominating_sets(g) for g in graphs]
 
