@@ -71,6 +71,9 @@ def _parse_graph(text: str, fmt: str | None) -> Graph:
                 "cannot auto-detect the input format; pass --format"
             )
     if fmt == "graph6":
+        records = sum(1 for line in stripped.splitlines() if line.strip())
+        if records > 1:
+            raise GraphParseError(f"expected one graph6 record, found {records}")
         return parse_graph6(first)
     return parse_edge_list(stripped)
 
@@ -98,11 +101,8 @@ def _parse_vertex_list(text: str) -> list[int]:
 
 def _cmd_solve(args) -> int:
     g = _load_graph(args)
-    cfg = SolverConfig(
-        use_reductions=not args.no_reductions, node_limit=args.node_limit
-    )
     solve = gamma_solve if args.param == "gamma" else gamma_cer_solve
-    res = solve(g, cfg)
+    res = solve(g, SolverConfig(node_limit=args.node_limit))
     if args.json:
         _emit(
             {
@@ -251,10 +251,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="which number to compute (default: gamma-cer)",
     )
     p.add_argument(
-        "--no-reductions", action="store_true",
-        help="gamma-cer only: disable support forcing and the gamma phase",
+        "--node-limit", type=int, default=None, metavar="N",
+        help="stop the search after N nodes; the answer is then marked unproven",
     )
-    p.add_argument("--node-limit", type=int, default=None, metavar="N")
     p.add_argument("--json", action="store_true", help="one JSON line instead of text")
     p.set_defaults(fn=_cmd_solve)
 

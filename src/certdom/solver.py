@@ -99,11 +99,11 @@ class SolveStats:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Search controls.  They never change the answer: every solve returns
-    the lexicographically smallest certificate among the optima, compared as
-    sorted vertex lists."""
+    """Search controls.  Without a node limit every solve returns the
+    lexicographically smallest certificate among the optima, compared as
+    sorted vertex lists.  A solve that reaches ``node_limit`` stops there and
+    returns the best set found, marked unproven."""
 
-    use_reductions: bool = True
     node_limit: int | None = None
 
     def __post_init__(self) -> None:
@@ -120,8 +120,7 @@ class SolveResult:
     (or the tie break) is unverified.
 
     ``gamma`` is the domination number, proven by the shared value phase of
-    either solve.  It is None when that phase did not run (a certified solve
-    with reductions off) or a node limit stopped it.
+    either solve.  It is None only when a node limit stopped that phase.
     """
 
     value: int
@@ -588,35 +587,33 @@ def _component(
     """(search, value, best set, (in pins, out pins), gamma) for one
     connected component; the value is None when a node limit cut its search.
 
-    The value phase, the same in both modes (certified mode runs it only
-    with reductions on), proves gamma with the leaves pinned out, harmless
-    for n >= 3 as a support stands in for its leaf; propagation forces the
-    supports in.  In gamma mode its optimum is the value, and the
-    certificate phase pins out the leaves of strong supports, which forces
-    those supports in (every gamma-set holds them, as two leaves could trade
-    for their support and a leaf beside its support is redundant), and every
-    vertex of ``_lower_covers``, which the lex-smallest gamma-set never
-    holds.  The optimum seeds lex_first with each such vertex traded for its
-    rep.  The greedy incumbent and the value phase's branches take w before
-    u, and only a strictly smaller set replaces the incumbent, so their
-    optimum leaves nothing to trade; the trade keeps the witness within the
-    pins whatever the incumbent.  Certified mode switches the same search to
-    the certified rules, closes the optimum, or the best set of a stopped
-    value phase, under them into the smallest certified superset, and takes
-    that as the incumbent.  After a node limit the best set found stands;
-    otherwise the optimal set returned seeds ``search.lex_first`` under the
-    pins.
+    The value phase, the same in both modes, proves gamma with the leaves
+    pinned out, harmless for n >= 3 as a support stands in for its leaf;
+    propagation forces the supports in.  In gamma mode its optimum is the
+    value, and the certificate phase pins out the leaves of strong supports,
+    which forces those supports in (every gamma-set holds them, as two
+    leaves could trade for their support and a leaf beside its support is
+    redundant), and every vertex of ``_lower_covers``, which the
+    lex-smallest gamma-set never holds.  The optimum seeds lex_first with
+    each such vertex traded for its rep.  The greedy incumbent and the value
+    phase's branches take w before u, and only a strictly smaller set
+    replaces the incumbent, so their optimum leaves nothing to trade; the
+    trade keeps the witness within the pins whatever the incumbent.
+    Certified mode switches the same search to the certified rules, closes
+    the optimum, or the best set of a stopped value phase, under them into
+    the smallest certified superset, and takes that as the incumbent.  After
+    a node limit the best set found stands; otherwise the optimal set
+    returned seeds ``search.lex_first`` under the pins.
     """
     prof = leaf_profile(g)
     search = _Search(g, False, stats, cfg.node_limit)
+    forbid = prof.leaves if g.n >= 3 else 0
+    d0 = search.greedy_cover(forbid)
     gamma = None
-    if not certified or cfg.use_reductions:
-        forbid = prof.leaves if g.n >= 3 else 0
-        d0 = search.greedy_cover(forbid)
-        try:
-            gamma, d0 = search.solve_best(0, forbid, d0)
-        except _NodeLimit:
-            d0 = search.best_mask
+    try:
+        gamma, d0 = search.solve_best(0, forbid, d0)
+    except _NodeLimit:
+        d0 = search.best_mask
     if not certified:
         rep = _lower_covers(search.closed)
         lex_out = _mask_of(rep)
@@ -628,18 +625,14 @@ def _component(
                 raise AssertionError("the witness shrank under the lex pins; solver bug")
         return search, gamma, d0, (0, prof.strong_leaves | lex_out), gamma
     search.certified = True
-    pins = supports_mask(g) if cfg.use_reductions else 0
+    pins = supports_mask(g)
     stats.forced_vertices += pins.bit_count()
-    if cfg.use_reductions:  # the value phase ran, to its end or not
-        # with nothing out, the certified rules only bring in the lone
-        # outside neighbour of a member; every certified superset of d0
-        # holds what they add, so the fixpoint is the smallest one
-        inc_mask = search._propagate(d0, 0, search._cover(d0))[0]
-        if gamma is not None and inc_mask == d0:
-            return search, gamma, d0, (pins, 0), gamma  # optimal, as gamma_cer >= gamma
-    else:
-        # leaves on strong supports are safe to leave out of any certified set
-        inc_mask = g.full_mask & ~prof.strong_leaves
+    # with nothing out, the certified rules only bring in the lone outside
+    # neighbour of a member; every certified superset of d0 holds what they
+    # add, so the fixpoint is the smallest one
+    inc_mask = search._propagate(d0, 0, search._cover(d0))[0]
+    if gamma is not None and inc_mask == d0:
+        return search, gamma, d0, (pins, 0), gamma  # optimal, as gamma_cer >= gamma
     try:
         value, inc_mask = search.solve_best(pins, 0, inc_mask)
     except _NodeLimit:

@@ -18,7 +18,9 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Callable, Iterable, Iterator, Optional
 
-from .domination import _certified, equality_witness, is_dd2_pair
+from .domination import (
+    VertexStatus, _certified, classify_vertex, equality_witness, is_dd2_pair,
+)
 from .graphs import (
     Graph,
     VertexSet,
@@ -34,7 +36,6 @@ from .graphs import (
     weak_supports,
 )
 from .solver import (
-    SolverConfig,
     all_min_dominating_sets,
     find_dd2_pair,
     gamma_cer_solve,
@@ -267,11 +268,17 @@ def _c_supports(g, cache):
                 return _fail(certified_set=list(_bits(mask)),
                              missing_support=list(_bits(supports & ~mask)))
         return _OK
-    # a solve with reductions off, as the default one pins the supports in
-    cert = gamma_cer_solve(g, SolverConfig(use_reductions=False)).certificate
-    return _check(supports & ~cert.mask == 0,
-                  certificate=cert.to_list(),
-                  missing_support=list(_bits(supports & ~cert.mask)))
+    # not by a solve, as the solver pins the supports in.  Each support s has
+    # a leaf l, N[l] = {l, s}, so a set without s leaves l undominated when
+    # it misses l and half-shadowed when it holds l; V - {l, s} and V - {s}
+    # stand for every such set
+    for leaf in _bits(leaf_profile(g).leaves):
+        rest = g.full_mask & ~g.adj[leaf]
+        undominated = not g.closed(leaf) & rest & ~(1 << leaf)
+        status = classify_vertex(g, VertexSet(g.n, rest), leaf)
+        if not undominated or status is not VertexStatus.HALF_SHADOWED:
+            return _fail(leaf=leaf, undominated=undominated, status=status.value)
+    return _OK
 
 
 @_claim("OBS3.2", "value <= n - (leaves on strong supports), <= n - 2|S2|")

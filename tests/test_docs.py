@@ -30,7 +30,7 @@ def test_readme_flags_are_accepted_by_their_subcommand():
     shown = []  # (subcommand or None for any, flag)
     for block in re.findall(r"```sh\n(.*?)```", text, re.S):
         for line in block.splitlines():
-            for part in line.split("#", 1)[0].split("|"):
+            for part in line.split("#", 1)[0].split(" | "):
                 words = part.split()
                 if words[:1] == ["certdom"] and len(words) > 1:
                     shown += [(words[1], f) for f in re.findall(r"--[\w-]+", part)]

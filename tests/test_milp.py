@@ -17,7 +17,7 @@ import pytest
 
 from certdom import Graph, gamma_cer_solve, gamma_solve
 
-from conftest import random_graph
+from conftest import random_graph, seeded_gnp_40
 
 pytest.importorskip("scipy")
 
@@ -77,17 +77,18 @@ def test_solves_match_an_independent_milp_at_mid_n():
         assert cer.proven and plain.proven
 
 
-def _milp_lex_min(g: Graph, value: int) -> list[int]:
-    """The lex-smallest minimum dominating set by self-reduction: each
-    vertex in ascending order is fixed in, and kept when the optimum stays
-    ``value``, else fixed out; once ``value`` are in, the rest are out."""
+def _milp_lex_min(g: Graph, value: int, certified: bool = False) -> list[int]:
+    """The lex-smallest minimum dominating (for ``certified``, certified
+    dominating) set by self-reduction: each vertex in ascending order is
+    fixed in, and kept when the optimum stays ``value``, else fixed out;
+    once ``value`` are in, the rest are out."""
     fixed: dict[int, int] = {}
     chosen = []
     for v in range(g.n):
         if len(chosen) == value:
             break
         fixed[v] = 1
-        if _milp_value(g, certified=False, fixed=fixed) == value:
+        if _milp_value(g, certified, fixed=fixed) == value:
             chosen.append(v)
         else:
             fixed[v] = 0
@@ -116,3 +117,12 @@ def test_gamma_certificates_on_sparse_graphs_are_the_milp_lex_min():
                 assert res.stats.parts_split > 0
             assert res.value == _milp_value(g, certified=False)
             assert res.certificate.to_list() == _milp_lex_min(g, res.value)
+
+
+def test_certificates_of_a_dense_gnp_are_the_milp_lex_min():
+    # past the subset oracle's n <= 20, for both solves
+    g = seeded_gnp_40()
+    for solve, certified in ((gamma_solve, False), (gamma_cer_solve, True)):
+        res = solve(g)
+        assert res.proven
+        assert res.certificate.to_list() == _milp_lex_min(g, res.value, certified)

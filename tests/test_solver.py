@@ -150,23 +150,12 @@ def test_certificate_is_lexicographically_smallest_mid_n():
     import random
 
     rng = random.Random(20261018)
-    plain = SolverConfig(use_reductions=False)
     for i in range(30):
         g = random_graph(rng.randrange(10, 17), (0.12, 0.2, 0.3, 0.45, 0.6)[i % 5], rng)
         lex_gamma = gamma_oracle(g).certificate.mask
         lex_cer = gamma_cer_oracle(g).certificate.mask
         assert gamma_solve(g).certificate.mask == lex_gamma
         assert gamma_cer_solve(g).certificate.mask == lex_cer
-        assert gamma_cer_solve(g, plain).certificate.mask == lex_cer
-
-
-def test_reductions_and_closed_forms_do_not_change_results(rng):
-    plain = SolverConfig(use_reductions=False)
-    for _ in range(60):
-        g = random_graph(rng.randrange(0, 8), rng.random(), rng)
-        a = gamma_cer_solve(g)
-        b = gamma_cer_solve(g, plain)
-        assert (a.value, a.certificate.mask) == (b.value, b.certificate.mask)
 
 
 def test_component_additivity_and_stats():
@@ -216,7 +205,7 @@ def test_prune_counts_show_the_fractional_bound_at_work():
         # every pruned node was expanded first
         assert stats.packing_prunes + stats.fractional_prunes <= stats.nodes_expanded
     # propagation cuts branches of the certified search that cannot be certified
-    assert gamma_cer_solve(fig1_graph(3), SolverConfig(use_reductions=False)).stats.dead_ends > 0
+    assert gamma_cer_solve(fig1_graph(3)).stats.dead_ends == 1
 
 
 def test_both_solves_on_a_dense_gnp_stay_small():
@@ -419,9 +408,8 @@ def test_node_limit_in_certificate_phase_keeps_proven_value():
 
 
 def test_node_limit_keeps_the_best_set_found():
-    # a limit inside either value search returns the best set that search
-    # found, not the incumbent it started from (the greedy cover in gamma
-    # mode, the leaf-trimmed vertex set in certified mode)
+    # a limit inside the value search returns the best set it found, not
+    # the greedy cover it started from
     import random
 
     from certdom.graphs import leaf_profile
@@ -432,9 +420,6 @@ def test_node_limit_keeps_the_best_set_found():
     res = gamma_solve(g, cut)
     assert not res.proven and res.value == gamma_solve(g).value == 10
     assert is_dominating(g, res.certificate)
-    plain = gamma_cer_solve(g, SolverConfig(use_reductions=False, node_limit=1000))
-    assert not plain.proven and plain.value == gamma_cer_solve(g).value == 10
-    assert is_certified_dominating(g, plain.certificate)
 
 
 def test_a_stopped_certified_solve_is_no_larger_than_its_repaired_greedy_cover():
@@ -536,24 +521,20 @@ def _sparse_graphs(rng, sizes) -> list[Graph]:
 
 def test_split_searches_match_the_oracles_on_sparse_graphs():
     # sparse graphs fall into independent parts during the search; values
-    # and lex-smallest certificates of both solves and of the certified
-    # solve without reductions against the subset oracles
+    # and lex-smallest certificates of both solves against the subset oracles
     import random
 
     rng = random.Random(20261019)
-    plain = SolverConfig(use_reductions=False)
     split = 0
     for g in _sparse_graphs(rng, [*range(12, 19)] * 2):
         want = gamma_oracle(g)
         want_cer = gamma_cer_oracle(g)
         res = gamma_solve(g)
         assert (res.value, res.certificate.mask) == (want.value, want.certificate.mask), g
-        for cfg in (None, plain):
-            cer = gamma_cer_solve(g, cfg)
-            assert (cer.value, cer.certificate.mask) == (
-                want_cer.value, want_cer.certificate.mask), g
-            split += cer.stats.parts_split
-        split += res.stats.parts_split
+        cer = gamma_cer_solve(g)
+        assert (cer.value, cer.certificate.mask) == (
+            want_cer.value, want_cer.certificate.mask), g
+        split += cer.stats.parts_split + res.stats.parts_split
     assert split > 0
 
 
@@ -573,36 +554,30 @@ def test_a_stopped_solve_counts_one_node_past_its_limit():
         graphs.append(Graph.from_edges(n, edges))
     stopped = 0
     for g in graphs:
-        for limit in (5, 20, 50):
-            for solve, cfg in ((gamma_solve, SolverConfig(node_limit=limit)),
-                               (gamma_cer_solve, SolverConfig(node_limit=limit)),
-                               (gamma_cer_solve, SolverConfig(use_reductions=False,
-                                                              node_limit=limit))):
-                res = solve(g, cfg)
+        for limit in (5, 10, 20, 50):
+            for solve in (gamma_solve, gamma_cer_solve):
+                res = solve(g, SolverConfig(node_limit=limit))
                 if not res.proven:
                     stopped += 1
-                    assert res.stats.nodes_expanded == limit + 1, (g, solve, cfg)
+                    assert res.stats.nodes_expanded == limit + 1, (g, solve, limit)
     assert stopped >= 20
 
 
 # sha256 over every labeled graph of order <= 5, in enumeration order, of
-# repr((value, certificate, proven, gamma, stats)) of gamma_solve,
-# gamma_cer_solve and gamma_cer_solve without reductions.  It pins the search
-# tree, not only the answers: a change to a propagation rule or a bound that
-# expands other nodes moves it.
-_SEARCH_N5_SHA256 = "515d5a1dcf8c0f64a1ba7460fdfa1cb733b666d5d6ddcffbecda5cc02780d5d1"
+# repr((value, certificate, proven, gamma, stats)) of gamma_solve and
+# gamma_cer_solve.  It pins the search tree, not only the answers: a change
+# to a propagation rule or a bound that expands other nodes moves it.
+_SEARCH_N5_SHA256 = "e33f8aa3a648c9f337dfdaaf3a075bf4fb1d5fbd566ef1dcf56efea50a60ee3c"
 
 
 def test_search_fingerprint_on_every_graph_of_order_5():
     import hashlib
 
-    modes = ((gamma_solve, None), (gamma_cer_solve, None),
-             (gamma_cer_solve, SolverConfig(use_reductions=False)))
     digest = hashlib.sha256()
     for n in range(6):
         for g in enumerate_labeled_graphs(n):
-            for solve, cfg in modes:
-                res = solve(g, cfg)
+            for solve in (gamma_solve, gamma_cer_solve):
+                res = solve(g)
                 digest.update(repr((res.value, res.certificate.to_list(), res.proven,
                                     res.gamma, res.stats.as_dict())).encode())
     assert digest.hexdigest() == _SEARCH_N5_SHA256
