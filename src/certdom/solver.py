@@ -33,13 +33,11 @@ Two independent routes are provided:
   is read from the closed forms of ``structure`` or bounded by the paper's
   upper bounds; both are checked against this search.
 
-  The domination search (every phase but the certified ones) splits a node
-  whose undominated vertices fall into parts that share no allowed
-  dominator: each part is solved on its own, and the fewest vertices of the
-  node's completion is the sum over the parts (Akiba & Iwata 2016).  A memo
-  keyed by the part and its allowed dominators carries part results across
-  nodes, queries and phases.  The certified rules couple a chosen vertex's
-  neighbours across parts, so the certified search does not split.
+  The domination and certified searches differ only in propagation's
+  certified rules.  Only connected components are solved apart: a node whose
+  undominated vertices fall into parts sharing no allowed dominator is not
+  split (Akiba & Iwata 2016): with the certificate phase's pins such nodes
+  are rare, and looking for them costs more than splitting saves.
 
 Certificates are deterministic: among all optimal sets the lexicographically
 smallest (by sorted vertex list) is returned, found by self-reduction.  Each
@@ -91,7 +89,6 @@ class SolveStats:
     packing_prunes: int = 0  # nodes cut by the greedy packing bound
     fractional_prunes: int = 0  # nodes cut by the fractional packing bound alone
     dead_ends: int = 0  # branches propagation proved infeasible
-    parts_split: int = 0  # nodes whose undominated vertices fell into independent parts
 
     def as_dict(self) -> dict[str, int]:
         return asdict(self)
@@ -198,16 +195,11 @@ class _Search:
     One search serves every phase of a component; the certified solve turns
     ``certified`` on after the value phase.  Nodes and prunes are counted on
     the solve's ``stats``, and the node past ``limit`` raises _NodeLimit.
-
-    ``memo`` holds the results of the parts the plain search splits off:
-    (part, its allowed dominators) -> (fewest dominators of the part, the
-    set), or (a lower bound on that number, None) after a capped search
-    found none.  The key fixes the sub-problem, so an entry holds across
-    pins, first-hit queries and phases."""
+    The two searches differ only in ``_propagate``'s certified rules."""
 
     __slots__ = (
         "adj", "closed", "full", "certified", "stats", "limit",
-        "best_val", "best_mask", "first_hit", "branch", "starts", "memo",
+        "best_val", "best_mask", "first_hit", "branch",
     )
 
     def __init__(self, g: Graph, certified: bool, stats: SolveStats,
@@ -218,7 +210,6 @@ class _Search:
         self.certified = certified
         self.stats = stats
         self.limit = limit
-        self.memo: dict[tuple[int, int], tuple[int, int | None]] = {}
 
     # -- shared machinery ---------------------------------------------------
 
@@ -318,24 +309,18 @@ class _Search:
         vertices needed.  Certified sets dominate, so both bound either
         search.  The greedy scan also sets ``branch`` to the allowed
         dominators of the lowest vertex of U with the fewest; propagation
-        leaves each at least two, so the first with two is that vertex.  It
-        sets ``starts`` to the vertices of U after the first that share no
-        allowed dominator with any vertex of U before them (see _parts)."""
+        leaves each at least two, so the first with two is that vertex."""
         closed = self.closed
         allowed = self.full ^ out_mask
         undom = self.full ^ covered
         used = dom = count = 0
         fewest = len(closed) + 1
-        starts = 0
         m = undom
         while m:
             low = m & -m
             m ^= low
             cand = closed[low.bit_length() - 1] & allowed
             if not cand & used:
-                # dom holds used, so only a packed vertex can miss dom
-                if count and not cand & dom:
-                    starts |= low
                 used |= cand
                 count += 1
             dom |= cand
@@ -343,7 +328,6 @@ class _Search:
                 c = cand.bit_count()
                 if c < fewest:
                     fewest, self.branch = c, cand
-        self.starts = starts
         if count >= need:
             self.stats.packing_prunes += 1
             return count
@@ -382,9 +366,7 @@ class _Search:
                       moved: int | None = None) -> None:
         """Branch on the allowed dominators of one undominated vertex,
         improving ``best_val``/``best_mask`` (raising _Hit on the first
-        improvement in first-hit mode).  In the plain search, a node whose
-        undominated vertices fall into independent parts solves each part on
-        its own instead (``_split``).  ``moved`` is passed to _propagate."""
+        improvement in first-hit mode); ``moved`` is passed to _propagate."""
         stats = self.stats
         stats.nodes_expanded += 1
         if self.limit is not None and stats.nodes_expanded > self.limit:
@@ -410,12 +392,6 @@ class _Search:
         need = self.best_val - size
         if self._pack_bound(out_mask, covered, need) >= need:
             return
-        if self.starts and not self.certified:
-            parts = self._parts(self.full ^ covered, self.full ^ out_mask, self.starts)
-            if parts:
-                stats.parts_split += 1
-                self._split(parts, in_mask, out_mask, covered, need - 1)
-                return
         closed = self.closed
         cand = self.branch
         excl = 0
@@ -425,77 +401,6 @@ class _Search:
             self._descend_best(in_mask | low, out_mask | excl,
                                covered | closed[low.bit_length() - 1], low | excl)
             excl |= low
-
-    def _parts(self, undom: int, allowed: int, starts: int) -> list[tuple[int, int]] | None:
-        """The parts of ``undom``, two of its vertices linked when they share
-        an allowed dominator, lowest vertex first; each with its allowed
-        dominators, which dominate nothing undominated outside it.  None
-        when ``undom`` is one part: every vertex but the lowest and the
-        ``starts`` shares a dominator with a lower one, so that holds as soon
-        as the lowest vertex's part reaches every start."""
-        parts = []
-        while undom:
-            part = grow = undom & -undom
-            doms = 0
-            while grow:
-                new = self._cover(grow) & allowed & ~doms
-                doms |= new
-                grow = self._cover(new) & undom & ~part
-                part |= grow
-                if not parts and not starts & ~part:
-                    return None
-            parts.append((part, doms))
-            undom ^= part
-        return parts
-
-    def _split(self, parts: list[tuple[int, int]], in_mask: int, out_mask: int,
-               covered: int, room: int) -> None:
-        """Complete the node from its independent parts: the fewest
-        vertices of each, within the ``room`` an improvement may add, one
-        vertex kept for each part still to come.  Stops at the first part
-        that does not fit; otherwise the union is the best completion.  Each
-        cap is at least 1, as the node's packing bound, which takes the first
-        vertex of every part, is at most ``room``."""
-        undom = self.full ^ covered
-        chosen = 0
-        left = len(parts)
-        for part, doms in parts:
-            left -= 1
-            found = self._solve_part(part, doms, in_mask, out_mask,
-                                     covered | (undom ^ part), room - left)
-            if found is None:
-                return
-            room -= found.bit_count()
-            chosen |= found
-        self.best_mask = in_mask | chosen
-        self.best_val = self.best_mask.bit_count()
-        if self.first_hit:
-            raise _Hit
-
-    def _solve_part(self, part: int, doms: int, in_mask: int, out_mask: int,
-                    covered: int, cap: int) -> int | None:
-        """Fewest allowed dominators covering ``part`` if at most ``cap``,
-        else None: a best-value sub-search under the same pins, the other
-        parts marked covered.  The caller's search state is restored, also
-        after a node limit, and a result is memoized only when the
-        sub-search ran to its end.  The state is the caller's fixpoint:
-        marking the other parts covered forces nothing."""
-        key = (part, doms)
-        known = self.memo.get(key)
-        if known is not None:
-            low, mask = known
-            if mask is not None or low > cap:
-                return mask if low <= cap else None
-        size = in_mask.bit_count()
-        saved = self.best_val, self.best_mask, self.first_hit
-        self.best_val, self.best_mask, self.first_hit = size + cap + 1, 0, False
-        try:
-            self._descend_best(in_mask, out_mask, covered, 0)
-            found = self.best_mask & ~in_mask if self.best_val <= size + cap else None
-        finally:
-            self.best_val, self.best_mask, self.first_hit = saved
-        self.memo[key] = (cap + 1, None) if found is None else (found.bit_count(), found)
-        return found
 
     # -- phase 2: lexicographically smallest optimum -------------------------
 
@@ -600,18 +505,20 @@ def _component(
     replaces the incumbent, so their optimum leaves nothing to trade; the
     trade keeps the witness within the pins whatever the incumbent.
     Certified mode switches the same search to the certified rules, closes
-    the optimum, or the best set of a stopped value phase, under them into
-    the smallest certified superset, and takes that as the incumbent.  After
-    a node limit the best set found stands; otherwise the optimal set
-    returned seeds ``search.lex_first`` under the pins.
+    the optimum under them into the smallest certified superset, and takes
+    that as the incumbent.  A stopped value phase's best set can close to
+    far more than the greedy cover does, so then the incumbent is the
+    smaller of the two closures, the best set's on a tie.  After a node
+    limit the best set found stands; otherwise the optimal set returned
+    seeds ``search.lex_first`` under the pins.
     """
     prof = leaf_profile(g)
     search = _Search(g, False, stats, cfg.node_limit)
     forbid = prof.leaves if g.n >= 3 else 0
-    d0 = search.greedy_cover(forbid)
+    greedy = search.greedy_cover(forbid)
     gamma = None
     try:
-        gamma, d0 = search.solve_best(0, forbid, d0)
+        gamma, d0 = search.solve_best(0, forbid, greedy)
     except _NodeLimit:
         d0 = search.best_mask
     if not certified:
@@ -631,6 +538,10 @@ def _component(
     # neighbour of a member; every certified superset of d0 holds what they
     # add, so the fixpoint is the smallest one
     inc_mask = search._propagate(d0, 0, search._cover(d0))[0]
+    if gamma is None:
+        alt = search._propagate(greedy, 0, search._cover(greedy))[0]
+        if alt.bit_count() < inc_mask.bit_count():
+            inc_mask = alt
     if gamma is not None and inc_mask == d0:
         return search, gamma, d0, (pins, 0), gamma  # optimal, as gamma_cer >= gamma
     try:

@@ -99,7 +99,7 @@ def test_gamma_certificates_on_sparse_graphs_are_the_milp_lex_min():
     # a random recursive tree and one with two chords, n = 200, each also
     # with its labels reversed: the certificate must be the lex-smallest
     # gamma-set.  Reversed, every leaf sits below its parent, so the lex
-    # pins leave the leaves open and the search splits into independent parts
+    # pins leave the leaves open
     rng = random.Random(20261019)
     tree = [(v, rng.randrange(v)) for v in range(1, 200)]
     chords = set(tree)
@@ -113,8 +113,6 @@ def test_gamma_certificates_on_sparse_graphs_are_the_milp_lex_min():
                                  if reverse else edges)
             res = gamma_solve(g)
             assert res.proven
-            if reverse:
-                assert res.stats.parts_split > 0
             assert res.value == _milp_value(g, certified=False)
             assert res.certificate.to_list() == _milp_lex_min(g, res.value)
 
