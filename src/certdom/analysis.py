@@ -3,6 +3,9 @@
 Each report is a dataclass with a ``to_json_obj`` method producing a plain
 dict with stable key order, so reports serialize to line-oriented JSON for
 the CLI.  All values are exact solver outputs; nothing here estimates.
+No report reads a certificate, so every solve here is value-only
+(``gamma_cer_solve(..., lex_min=False)``): it skips the lex-smallest
+certificate phase, and its ``proven`` means that the value is proven.
 """
 
 from __future__ import annotations
@@ -76,7 +79,7 @@ class BoundReport:
 
 def bound_report(g: Graph) -> BoundReport:
     """Evaluate every general upper bound with exact values."""
-    res = gamma_cer_solve(g)
+    res = gamma_cer_solve(g, lex_min=False)
     gamma, gamma_cer = res.gamma, res.value
     prof = leaf_profile(g)
     s1 = prof.weak.bit_count()
@@ -167,7 +170,7 @@ def edge_effects(
     new <= base; violations are flagged.  Additions to disconnected graphs
     carry no bound (they can lift the value arbitrarily).
     """
-    base = gamma_cer_solve(g).value
+    base = gamma_cer_solve(g, lex_min=False).value
     connected = is_connected(g)
     if isinstance(scope, tuple):
         u, v = scope
@@ -191,12 +194,12 @@ def edge_effects(
     records = []
     for u, v in pairs:
         if g.has_edge(u, v):
-            new = gamma_cer_solve(g.remove_edge(u, v)).value
+            new = gamma_cer_solve(g.remove_edge(u, v), lex_min=False).value
             records.append(
                 ModificationRecord("edge-del", (u, v), new, new - base)
             )
         else:
-            new = gamma_cer_solve(g.add_edge(u, v)).value
+            new = gamma_cer_solve(g.add_edge(u, v), lex_min=False).value
             records.append(
                 ModificationRecord(
                     "edge-add",
@@ -221,13 +224,13 @@ def vertex_effects(
     neighbour) is reported without any bound claim.  An empty neighbour set
     is rejected: adding an isolated vertex just adds one to the value.
     """
-    base = gamma_cer_solve(g).value
+    base = gamma_cer_solve(g, lex_min=False).value
     records = []
     if isinstance(scope, str):
         if scope != "all-deletions":
             raise ValueError(f"unknown scope {scope!r}")
         for v in range(g.n):
-            new = gamma_cer_solve(g.remove_vertex(v)).value
+            new = gamma_cer_solve(g.remove_vertex(v), lex_min=False).value
             records.append(ModificationRecord("vertex-del", (v,), new, new - base))
         return ModificationReport(scope, base, tuple(records))
     nbrs = sorted(set(scope))
@@ -236,7 +239,7 @@ def vertex_effects(
         raise ValueError(
             "neighbour set must be nonempty (an isolated addition is just +1)"
         )
-    new = gamma_cer_solve(g.add_vertex(nbrs)).value
+    new = gamma_cer_solve(g.add_vertex(nbrs), lex_min=False).value
     bounded = len(nbrs) >= 2
     records.append(
         ModificationRecord(
@@ -309,8 +312,8 @@ def nordhaus_gaddum(g: Graph) -> NGReport:
     if g.n == 0:
         raise ValueError("complement-pair report needs at least one vertex")
     gbar = complement(g)
-    a = gamma_cer_solve(g).value
-    b = gamma_cer_solve(gbar).value
+    a = gamma_cer_solve(g, lex_min=False).value
+    b = gamma_cer_solve(gbar, lex_min=False).value
     dmin = min(min_degree(g), min_degree(gbar))
     regime = (
         "min_delta_0" if dmin == 0 else "min_delta_1" if dmin == 1 else "min_delta_ge2"

@@ -118,7 +118,7 @@ def _cmd_solve(args) -> int:
         print(f"value: {res.value}")
         print(f"certificate: {' '.join(map(str, res.certificate)) or '(empty)'}")
         if not res.proven:
-            print("warning: node limit hit; value is the best found, unproven")
+            print("warning: node limit hit; the value or its lex-smallest tie break is unproven")
         s = res.stats
         print(
             f"stats: nodes={s.nodes_expanded} forced={s.forced_vertices} "

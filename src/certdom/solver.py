@@ -54,7 +54,10 @@ certified, so the certified phase has no such pin.  Every component's
 value is settled before any certificate phase starts, so after a node limit
 there the values stand and the witnesses are returned, unproven only in their
 tie break.  Once the limit has fired every later search stops at its first
-node, uncounted, so a stopped solve reads one node past its limit.
+node, uncounted, so a stopped solve reads one node past its limit.  A
+value-only certified solve (``gamma_cer_solve(..., lex_min=False)``, which
+the ``analysis`` reports use) skips the certificate phase and returns each
+component's optimal witness as it stands, certified but not lex-smallest.
 """
 
 from __future__ import annotations
@@ -96,10 +99,10 @@ class SolveStats:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Search controls.  Without a node limit every solve returns the
-    lexicographically smallest certificate among the optima, compared as
-    sorted vertex lists.  A solve that reaches ``node_limit`` stops there and
-    returns the best set found, marked unproven."""
+    """Search controls.  Without a node limit every solve but a value-only
+    one returns the lexicographically smallest certificate among the optima,
+    compared as sorted vertex lists.  A solve that reaches ``node_limit``
+    stops there and returns the best set found, marked unproven."""
 
     node_limit: int | None = None
 
@@ -114,7 +117,8 @@ class SolveResult:
 
     ``proven`` is False only when a node limit truncated the search; the
     certificate is then still a valid set of size ``value`` but optimality
-    (or the tie break) is unverified.
+    (or the tie break) is unverified.  A value-only solve runs no tie break,
+    so there ``proven`` means that the value is proven.
 
     ``gamma`` is the domination number, proven by the shared value phase of
     either solve.  It is None only when a node limit stopped that phase.
@@ -551,7 +555,8 @@ def _component(
     return search, value, inc_mask, (pins, 0), gamma
 
 
-def _combine_components(g: Graph, cfg: SolverConfig, certified: bool) -> SolveResult:
+def _combine_components(g: Graph, cfg: SolverConfig, certified: bool,
+                        lex_min: bool) -> SolveResult:
     stats = SolveStats()
     parts = components(g)
     if len(parts) > 1:
@@ -566,7 +571,7 @@ def _combine_components(g: Graph, cfg: SolverConfig, certified: bool) -> SolveRe
         ok = value is not None
         if not ok:
             value = mask.bit_count()
-        else:
+        elif lex_min:
             try:
                 mask = search.lex_first(value, *pins, mask)
             except _NodeLimit:  # the witness is optimal: only its tie break is open
@@ -589,10 +594,17 @@ def _checked(g: Graph, res: SolveResult, valid) -> SolveResult:
     return res
 
 
-def gamma_cer_solve(g: Graph, cfg: SolverConfig | None = None) -> SolveResult:
-    """Exact certified domination number with a deterministic certificate."""
+def gamma_cer_solve(g: Graph, cfg: SolverConfig | None = None, *,
+                    lex_min: bool = True) -> SolveResult:
+    """Exact certified domination number with a deterministic certificate.
+
+    With ``lex_min=False`` the certificate phase is skipped: the certificate
+    is the optimal set the value search ended with, certified but not
+    necessarily the lex-smallest, ``certificate_nodes`` stays 0 and
+    ``proven`` means that the value is proven.  The ``analysis`` reports,
+    which read only ``value`` and ``gamma``, solve this way."""
     cfg = cfg or SolverConfig()
-    res = _combine_components(g, cfg, True)
+    res = _combine_components(g, cfg, True, lex_min)
     # A set of n-1 vertices is never certified: its lone outside vertex would
     # leave each of its dominators with exactly one outside neighbour.  Every
     # returned certificate is certified, so this holds even under node limits.
@@ -604,7 +616,7 @@ def gamma_cer_solve(g: Graph, cfg: SolverConfig | None = None) -> SolveResult:
 def gamma_solve(g: Graph, cfg: SolverConfig | None = None) -> SolveResult:
     """Exact domination number with a deterministic certificate."""
     cfg = cfg or SolverConfig()
-    return _checked(g, _combine_components(g, cfg, False), _dominates)
+    return _checked(g, _combine_components(g, cfg, False, True), _dominates)
 
 
 # ---------------------------------------------------------------------------

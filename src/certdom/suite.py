@@ -94,7 +94,9 @@ class SolveCache:
     Shared by all claims in a run so edge/complement sweeps at a fixed n
     collapse to dictionary lookups.  Solves use the default ``SolverConfig``;
     ``CACHE_MAX_ENTRIES`` caps memory.  One certified solve fills the entry
-    for ``gamma_cer``, ``gamma_cer_cert`` and ``gamma`` alike.
+    for ``gamma_cer``, ``gamma_cer_cert`` and ``gamma`` alike.  Unlike the
+    ``analysis`` reports it keeps the lex-smallest certificate phase, as
+    LEM6.1 reads the certificate through ``gamma_cer_cert``.
     """
 
     def __init__(self):

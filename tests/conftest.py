@@ -34,14 +34,15 @@ def rng() -> random.Random:
 
 
 @pytest.fixture
-def solves(monkeypatch) -> list[bool]:
-    """Records the ``certified`` flag of every branch-and-bound solve."""
-    seen: list[bool] = []
+def solves(monkeypatch) -> list[tuple[bool, bool]]:
+    """Records the ``(certified, lex_min)`` mode of every branch-and-bound
+    solve."""
+    seen: list[tuple[bool, bool]] = []
     combine = solver._combine_components
 
-    def counted(g, cfg, certified):
-        seen.append(certified)
-        return combine(g, cfg, certified)
+    def counted(g, cfg, certified, lex_min):
+        seen.append((certified, lex_min))
+        return combine(g, cfg, certified, lex_min)
 
     monkeypatch.setattr(solver, "_combine_components", counted)
     return seen

@@ -27,10 +27,34 @@ from certdom.suite import enumerate_labeled_graphs
 
 def test_bound_report_c7(solves):
     r = bound_report(cycle_graph(7))
-    assert solves == [True]
+    assert solves == [(True, False)]  # one certified solve, value-only
     assert (r.gamma, r.gamma_cer) == (3, 3)
     assert all(b.holds for b in r.bounds)
     assert r.equality_holds and r.equality_witness is not None
+
+
+def test_reports_never_run_the_lex_certificate_phase(monkeypatch):
+    # no report reads a certificate, so none runs the lex-smallest tie
+    # break; the reports are unchanged without it
+    from certdom import solver
+
+    def reports(g):
+        return [r.to_json_obj() for r in (
+            bound_report(g),
+            edge_effects(g, "all-deletions"),
+            edge_effects(g, "all-additions"),
+            vertex_effects(g, "all-deletions"),
+            vertex_effects(g, [0, 1]),
+            nordhaus_gaddum(g),
+        )]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("lex_first called by a report")
+
+    graphs = [fig3a_graph(2), wheel_graph(8), corona(path_graph(3), complete_graph(2))]
+    expected = [reports(g) for g in graphs]
+    monkeypatch.setattr(solver._Search, "lex_first", refuse)
+    assert [reports(g) for g in graphs] == expected
 
 
 def test_bound_report_reuses_the_solved_gamma(monkeypatch):

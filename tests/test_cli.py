@@ -329,6 +329,24 @@ def test_solve_text_output_is_pinned(capsys, monkeypatch):
                    "stats: nodes=5 forced=4 components=0 closed_forms=0\n")
 
 
+@pytest.mark.parametrize("name,limit,param,value", [
+    ("gnp40", "29", "gamma-cer", 5),  # stopped in the lex phase: the value is proven
+    ("forest", "10", "gamma", 33),  # stopped in the value phase
+])
+def test_solve_text_warning_holds_wherever_the_limit_hits(capsys, monkeypatch, name, limit,
+                                                          param, value):
+    # gnp40's certified solve spends 28 of its 424 nodes before the lex phase
+    code, out, _ = run_cli(
+        capsys, "solve", "-", "--param", param, "--node-limit", limit,
+        stdin=_pinned_input(name), monkeypatch=monkeypatch,
+    )
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == f"value: {value}"
+    assert lines[2] == ("warning: node limit hit; "
+                        "the value or its lex-smallest tie break is unproven")
+
+
 # sha256 of `certdom suite --n-max 5 --verbose`: every claim outcome and
 # witness on every labeled graph of order <= 5, byte for byte
 _SUITE_N5_VERBOSE_SHA256 = "64dc1c9101a8746ced7939c842db0a2c5b6fefa61fb145928a2b77881df0cc5e"

@@ -368,6 +368,30 @@ def test_node_limit_in_certificate_phase_keeps_proven_value():
         assert len(res.certificate) == full.value
 
 
+def test_value_only_certified_solve_agrees_with_the_full_solve():
+    # lex_min=False skips the certificate phase: the same value and gamma,
+    # a certified set of that size, and no certificate nodes
+    graphs = [g for n in range(6) for g in enumerate_labeled_graphs(n)]
+    for g in graphs + [seeded_gnp_40()]:
+        full = gamma_cer_solve(g)
+        res = gamma_cer_solve(g, lex_min=False)
+        assert (res.value, res.gamma) == (full.value, full.gamma), g
+        assert is_certified_dominating(g, res.certificate), g
+        assert len(res.certificate) == res.value, g
+        assert res.proven and res.stats.certificate_nodes == 0, g
+
+
+def test_value_only_solve_is_proven_where_the_full_solve_stops_in_its_lex_phase():
+    g = seeded_gnp_40()
+    full = gamma_cer_solve(g)
+    limit = full.stats.nodes_expanded - full.stats.certificate_nodes + 1
+    cut = SolverConfig(node_limit=limit)
+    res = gamma_cer_solve(g, cut, lex_min=False)
+    assert res.proven and (res.value, res.gamma) == (full.value, full.gamma)
+    assert is_certified_dominating(g, res.certificate)
+    assert not gamma_cer_solve(g, cut).proven
+
+
 def test_node_limit_keeps_the_best_set_found():
     # a limit inside the value search returns the best set it found, not
     # the greedy cover it started from
@@ -614,14 +638,15 @@ from certdom import VertexSet, path_graph, solver
 
 if __debug__:
     raise SystemExit("expected to run under python -O")
-solver._combine_components = lambda g, cfg, part: solver.SolveResult(
+solver._combine_components = lambda g, cfg, certified, lex_min: solver.SolveResult(
     g.n - 1, VertexSet(g.n, 0))
-try:
-    solver.gamma_cer_solve(path_graph(3))
-except AssertionError as exc:
-    print(exc)
-else:
-    raise SystemExit("no error for a certified value of n - 1")
+for lex_min in (True, False):
+    try:
+        solver.gamma_cer_solve(path_graph(3), lex_min=lex_min)
+    except AssertionError as exc:
+        print(exc)
+    else:
+        raise SystemExit(f"no error for a certified value of n - 1, lex_min={lex_min}")
 """
 
 
@@ -631,7 +656,7 @@ def test_value_n_minus_1_check_survives_python_O():
     proc = subprocess.run([sys.executable, "-O", "-c", _N_MINUS_1_SCRIPT],
                           env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert "n-1 is impossible" in proc.stdout
+    assert proc.stdout.count("n-1 is impossible") == 2  # with and without the lex phase
 
 
 _BAD_CERTIFICATE_SCRIPT = """
@@ -640,14 +665,17 @@ from certdom import VertexSet, path_graph, solver
 if __debug__:
     raise SystemExit("expected to run under python -O")
 p4 = path_graph(4)  # 0-1-2-3; no case below reports the value n-1 = 3
+value_only = lambda g: solver.gamma_cer_solve(g, lex_min=False)
 cases = [
     (solver.gamma_cer_solve, 2, 0b0110),  # dominates, but 1 and 2 are half-shadowed
     (solver.gamma_cer_solve, 2, 0b1111),  # certified, but of size 4
+    (value_only, 2, 0b0110),  # the same checks without the lex phase
+    (value_only, 2, 0b1111),
     (solver.gamma_solve, 1, 0b0010),  # misses vertex 3
     (solver.gamma_solve, 1, 0b0110),  # dominates, but of size 2
 ]
 for solve, value, mask in cases:
-    solver._combine_components = lambda g, cfg, part: solver.SolveResult(
+    solver._combine_components = lambda g, cfg, certified, lex_min: solver.SolveResult(
         value, VertexSet(g.n, mask))
     try:
         solve(p4)
@@ -664,7 +692,7 @@ def test_certificate_check_survives_python_O():
     proc = subprocess.run([sys.executable, "-O", "-c", _BAD_CERTIFICATE_SCRIPT],
                           env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.count("fails its check") == 4
+    assert proc.stdout.count("fails its check") == 6
 
 
 def test_closed_form_tables_checked_by_an_independent_search(monkeypatch):

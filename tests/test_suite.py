@@ -163,8 +163,9 @@ def test_solve_cache_reuses_entries(solves):
     assert (g.n, g.adj) in cache._cer
     assert cache.gamma_cer(g) == 2
     assert cache.gamma(g) == 2
-    # gamma comes from the cached certified solve; no second search runs
-    assert solves == [True]
+    # gamma comes from the cached certified solve; no second search runs,
+    # and that one keeps the lex phase, whose certificate LEM6.1 reads
+    assert solves == [(True, True)]
     assert len(cache.min_dom_masks(g)) > 0
 
 
