@@ -4,8 +4,9 @@ Recognition is by direct structural test (degree profile plus neighbourhood
 shape), never by general isomorphism search: every family handled here has a
 constant-time local characterization.  ``closed_form`` states the paper's
 value tables; the solver never reads them, so the claim suite checks them
-against an independent search.  The two predictors at the bottom decide the
-value-n and value-(n-2) characterizations component by component.
+against an independent search.  The corona and diadem recognizers and the
+value-n predictor are mask tests over ``leaf_profile`` and build no
+subgraph; the value-(n-2) predictor goes component by component.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from .graphs import (
     Graph,
     VertexSet,
     _bits,
-    complement,
+    _mask_of,
     components,
     induced_subgraph,
     is_connected,
@@ -33,16 +34,6 @@ class StructureClass:
     m: int = 0
     vertex: int | None = None
     base: VertexSet | None = None
-
-    def __repr__(self) -> str:
-        parts = [self.kind]
-        if self.kind == "complete-bipartite":
-            parts.append(f"{self.m},{self.n}")
-        elif self.n:
-            parts.append(str(self.n))
-        if self.vertex is not None:
-            parts.append(f"vertex={self.vertex}")
-        return f"StructureClass({' '.join(parts)})"
 
 
 # ---------------------------------------------------------------------------
@@ -120,16 +111,16 @@ def is_complete(g: Graph) -> bool:
 def complete_bipartite_sides(g: Graph) -> tuple[int, int] | None:
     """Side sizes (m, n) with m <= n when g is complete bipartite, else None.
 
-    A graph is complete bipartite exactly when its complement is the disjoint
-    union of two cliques.
+    The side B opposite vertex 0 is N(0); g is complete bipartite exactly
+    when B is non-empty and every vertex's row is the other side.
     """
     if g.n < 2:
         return None
-    comps = components(complement(g))
-    if len(comps) != 2 or not all(is_complete(c) for _, c in comps):
+    b = g.adj[0]
+    a = g.full_mask & ~b
+    if not b or any(row != (b if a >> v & 1 else a) for v, row in enumerate(g.adj)):
         return None
-    a, b = (c.n for _, c in comps)
-    return (a, b) if a <= b else (b, a)
+    return tuple(sorted((a.bit_count(), b.bit_count())))
 
 
 def wheel_hub(g: Graph) -> int | None:
@@ -143,67 +134,50 @@ def wheel_hub(g: Graph) -> int | None:
     return hub if is_cycle(rim) else None
 
 
+def _corona_base(g: Graph, special: int = 0) -> int | None:
+    """Base mask when every component of g, the vertices in ``special``
+    excepted, is an isolated vertex or a corona; else None.
+
+    In a component of order >= 3 no leaf is a support, so "every non-leaf
+    has exactly one leaf neighbour" makes it the corona of its non-leaves.
+    A 2-vertex component's ends are leaves and weak supports both; its
+    lower end joins the base.
+    """
+    prof = leaf_profile(g)
+    inner = _mask_of(v for v, row in enumerate(g.adj) if row) & ~prof.leaves
+    if inner & ~special & ~prof.weak:
+        return None
+    lower = _mask_of(v for v in _bits(prof.leaves & prof.weak) if g.adj[v] > 1 << v)
+    return inner | lower
+
+
 def recognize_corona(g: Graph) -> VertexSet | None:
     """Base set B with g = G[B] joined to one pendant leaf per base vertex.
 
-    Component rule: a 2-vertex component contributes its lower-index vertex;
-    a component of order >= 3 qualifies iff every non-leaf vertex has exactly
-    one leaf neighbour and leaves and non-leaves are equinumerous; an
-    isolated vertex disqualifies the whole graph.
+    Mask rule over ``leaf_profile``: no vertex is isolated, every non-leaf
+    has exactly one leaf neighbour, and B is the non-leaves plus the lower
+    end of every 2-vertex component.
     """
-    if g.n == 0:
-        return None
-    base = 0
-    for vs, comp in components(g):
-        order = vs.to_list()
-        if comp.n == 1:
-            return None
-        if comp.n == 2:
-            base |= 1 << order[0]
-            continue
-        # In a connected graph on >= 3 vertices no leaf is a support, so this
-        # says each non-leaf has exactly one leaf neighbour, which also makes
-        # leaves and non-leaves equinumerous.
-        prof = leaf_profile(comp)
-        nonleaf = comp.full_mask & ~prof.leaves
-        if prof.weak != nonleaf:
-            return None
-        for v in _bits(nonleaf):
-            base |= 1 << order[v]
-    return VertexSet(g.n, base)
+    base = _corona_base(g) if g.n and all(g.adj) else None
+    return None if base is None else VertexSet(g.n, base)
 
 
 def recognize_diadem(g: Graph) -> tuple[VertexSet, int] | None:
     """(base set of the underlying graph, unique strong support) or None.
 
-    A diadem has exactly one strong support s with exactly two leaf
-    neighbours, and removing either of those leaves yields a corona whose
-    base can be chosen to contain s.
+    Mask rule over ``leaf_profile``: exactly one strong support s, exactly
+    two leaves on it, no isolated vertex, and every other non-leaf has
+    exactly one leaf neighbour.  Removing one leaf of s then leaves a
+    corona, since s keeps one leaf and no other non-leaf's leaf count
+    changes; B is the non-leaves, s among them, plus the lower end of every
+    2-vertex component.
     """
     prof = leaf_profile(g)
-    if prof.strong.bit_count() != 1:
+    if (prof.strong.bit_count() != 1 or prof.strong_leaves.bit_count() != 2
+            or not all(g.adj)):
         return None
-    s = prof.strong.bit_length() - 1
-    leaf_nbrs = prof.strong_leaves
-    if leaf_nbrs.bit_count() != 2:
-        return None
-    drop = leaf_nbrs & -leaf_nbrs
-    keep = VertexSet(g.n, g.full_mask & ~drop)
-    order = keep.to_list()
-    sub_base = recognize_corona(induced_subgraph(g, keep))
-    if sub_base is None:
-        return None
-    base = 0
-    for i in sub_base:
-        base |= 1 << order[i]
-    if not base >> s & 1:
-        # s's component shrank to an edge, whose either endpoint is a valid
-        # base choice; swap the remaining leaf for s.
-        rest = g.adj[s] & ~drop
-        if rest.bit_count() != 1 or not base & rest:
-            return None
-        base = (base & ~rest) | 1 << s
-    return VertexSet(g.n, base), s
+    base = _corona_base(g, special=prof.strong)
+    return None if base is None else (VertexSet(g.n, base), prof.strong.bit_length() - 1)
 
 
 def closed_form(g: Graph) -> tuple[StructureClass, int] | None:
@@ -248,10 +222,7 @@ def closed_form(g: Graph) -> tuple[StructureClass, int] | None:
 
 def check_gamma_cer_equals_n(g: Graph) -> bool:
     """Predict gamma_cer(g) == n: every component is an isolated vertex or a corona."""
-    return all(
-        comp.n == 1 or recognize_corona(comp) is not None
-        for _, comp in components(g)
-    )
+    return _corona_base(g) is not None
 
 
 def check_gamma_cer_equals_n_minus_2(g: Graph) -> bool:

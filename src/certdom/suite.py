@@ -49,6 +49,7 @@ from .structure import (
     gamma_cer_complete_bipartite,
     gamma_cer_cycle,
     gamma_cer_path,
+    gamma_cer_wheel,
     is_complete,
     is_cycle,
     is_path,
@@ -234,8 +235,9 @@ def _c_bipartite(g, cache):
 def _c_wheel(g, cache):
     if wheel_hub(g) is None:
         return _NA
+    want = gamma_cer_wheel(g.n)
     got = cache.gamma_cer(g)
-    return _check(got == 1, expected=1, got=got)
+    return _check(got == want, expected=want, got=got)
 
 
 @_claim("OBS2.6", "value 1 iff a universal vertex exists (n >= 3)")

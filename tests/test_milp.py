@@ -22,8 +22,10 @@ from conftest import random_graph, seeded_gnp_40
 pytest.importorskip("scipy")
 
 
-def _milp_value(g: Graph, certified: bool, fixed: dict[int, int] | None = None) -> int:
-    """The optimum, with x_v fixed to ``fixed[v]`` for the vertices it names."""
+def _milp_value(g: Graph, certified: bool,
+                fixed: dict[int, int] | None = None) -> int | None:
+    """The optimum, with x_v fixed to ``fixed[v]`` for the vertices it names;
+    None when those pins leave the program infeasible."""
     import numpy as np
     from scipy.optimize import Bounds, LinearConstraint, milp
 
@@ -54,6 +56,8 @@ def _milp_value(g: Graph, certified: bool, fixed: dict[int, int] | None = None) 
         x_lo[v] = x_hi[v] = bit
     res = milp(cost, constraints=LinearConstraint(a, lo, hi),
                integrality=np.ones(nvar), bounds=Bounds(x_lo, x_hi))
+    if res.status == 2:  # scipy's code for an infeasible program
+        return None
     if res.status != 0:
         raise RuntimeError(f"MILP did not solve to optimality: {res.message}")
     return int(round(res.fun))
@@ -80,8 +84,9 @@ def test_solves_match_an_independent_milp_at_mid_n():
 def _milp_lex_min(g: Graph, value: int, certified: bool = False) -> list[int]:
     """The lex-smallest minimum dominating (for ``certified``, certified
     dominating) set by self-reduction: each vertex in ascending order is
-    fixed in, and kept when the optimum stays ``value``, else fixed out;
-    once ``value`` are in, the rest are out."""
+    fixed in, and kept when the optimum stays ``value``, else fixed out (also
+    when the pins leave no certified dominating set); once ``value`` are
+    in, the rest are out."""
     fixed: dict[int, int] = {}
     chosen = []
     for v in range(g.n):
@@ -118,9 +123,11 @@ def test_gamma_certificates_on_sparse_graphs_are_the_milp_lex_min():
 
 
 def test_certificates_of_a_dense_gnp_are_the_milp_lex_min():
-    # past the subset oracle's n <= 20, for both solves
-    g = seeded_gnp_40()
-    for solve, certified in ((gamma_solve, False), (gamma_cer_solve, True)):
-        res = solve(g)
-        assert res.proven
-        assert res.certificate.to_list() == _milp_lex_min(g, res.value, certified)
+    # past the subset oracle's n <= 20, for both solves; on the connected
+    # G(60, 0.1) self-reduction on the certified program meets infeasible
+    # pins, which count as "the optimum is not kept"
+    for g in (seeded_gnp_40(), random_graph(60, 0.1, random.Random(0))):
+        for solve, certified in ((gamma_solve, False), (gamma_cer_solve, True)):
+            res = solve(g)
+            assert res.proven
+            assert res.certificate.to_list() == _milp_lex_min(g, res.value, certified)

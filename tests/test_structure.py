@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 
 from certdom import (
@@ -21,7 +23,7 @@ from certdom import (
 from certdom.structure import complete_bipartite_sides, is_cycle, is_path, wheel_hub
 from certdom.suite import enumerate_labeled_graphs
 
-from conftest import relabel
+from conftest import random_graph, relabel
 
 
 def connected_graphs(n_max):
@@ -171,10 +173,155 @@ def test_diadem_value_formula_for_small_bases(rng):
             got = recognize_diadem(g)
             assert got is not None and got[0].to_list() == list(range(n))
     # sampled larger bases keep the diadem order within the oracle's reach
-    from conftest import random_graph
-
     for n in (5, 6):
         for _ in range(20):
             g = diadem(random_graph(n, rng.random(), rng))
             assert g.n <= 14
             assert gamma_cer_oracle(g).value == g.n - 2
+
+
+# ---------------------------------------------------------------------------
+# The recognizers against their definitions, by brute force over the rows
+# ---------------------------------------------------------------------------
+
+def _corona_bases(adj, verts):
+    """Every base B of the subgraph induced on the mask ``verts``: |B| is
+    half its order, every vertex outside B has exactly one neighbour, that
+    neighbour is in B, and these neighbours cover B once each."""
+    order = verts.bit_count()
+    if order % 2:
+        return []
+    vs = [v for v in range(len(adj)) if verts >> v & 1]
+    # a vertex of another degree cannot lie outside B
+    forced = sum(1 << v for v in vs if (adj[v] & verts).bit_count() != 1)
+    free = [v for v in vs if not forced >> v & 1]
+    need = order // 2 - forced.bit_count()
+    bases = []
+    for extra in combinations(free, need) if need >= 0 else ():
+        base = forced | sum(1 << v for v in extra)
+        covered = 0
+        for v in vs:
+            if not base >> v & 1:
+                nbr = adj[v] & verts
+                if not nbr & base or nbr & covered:
+                    break
+                covered |= nbr
+        else:
+            if covered == base:
+                bases.append(base)
+    return bases
+
+
+def _diadems(adj):
+    """(B, s) for every leaf l on a vertex s such that G - l is a corona
+    with a base B that contains s."""
+    full = (1 << len(adj)) - 1
+    found = []
+    for leaf, row in enumerate(adj):
+        if row.bit_count() == 1:
+            s = row.bit_length() - 1
+            found += [(b, s) for b in _corona_bases(adj, full & ~(1 << leaf)) if b >> s & 1]
+    return found
+
+
+def _component_masks(adj):
+    seen, comps = 0, []
+    for v in range(len(adj)):
+        if not seen >> v & 1:
+            comp, todo = 0, [v]
+            while todo:
+                u = todo.pop()
+                if not comp >> u & 1:
+                    comp |= 1 << u
+                    todo += [w for w in range(len(adj)) if adj[u] >> w & 1]
+            seen |= comp
+            comps.append(comp)
+    return comps
+
+
+def _check_against_definitions(g):
+    adj, n = g.adj, g.n
+    comps = _component_masks(adj)
+    lows = sum(c & -c for c in comps if c.bit_count() == 2)
+
+    bases = _corona_bases(adj, (1 << n) - 1) if n else []
+    got = recognize_corona(g)
+    if bases:
+        assert got.mask in bases and got.mask & lows == lows, g
+    else:
+        assert got is None, g
+
+    diadems = _diadems(adj)
+    got = recognize_diadem(g)
+    if diadems:
+        assert (got[0].mask, got[1]) in diadems and got[0].mask & lows == lows, g
+    else:
+        assert got is None, g
+
+    assert check_gamma_cer_equals_n(g) == all(
+        c.bit_count() == 1 or _corona_bases(adj, c) for c in comps), g
+
+    edges = [(u, v) for u in range(n) for v in range(u) if adj[u] >> v & 1]
+    sides = {tuple(sorted((a.bit_count(), n - a.bit_count())))
+             for a in range(1, (1 << n) - 1, 2)  # vertex 0 on side A, B non-empty
+             if len(edges) == a.bit_count() * (n - a.bit_count())
+             and all((a >> u ^ a >> v) & 1 for u, v in edges)}
+    assert complete_bipartite_sides(g) == (sides.pop() if sides else None), g
+
+
+def _seeded_coronas_and_diadems(rng, count):
+    """Relabeled coronas and diadems of order 7-16 on random bases, each
+    followed by a copy with one edge flipped and one with an extra
+    isolated or pendant vertex."""
+    for _ in range(count):
+        if rng.random() < 0.5:
+            g = diadem(random_graph(rng.randrange(3, 8), rng.random(), rng))
+        else:
+            g = corona(random_graph(rng.randrange(4, 9), rng.random(), rng),
+                       complete_graph(1))
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        g = relabel(g, perm)
+        yield g
+        u, v = rng.sample(range(g.n), 2)
+        yield g.remove_edge(u, v) if g.has_edge(u, v) else g.add_edge(u, v)
+        yield g.add_vertex([rng.randrange(g.n)] if rng.random() < 0.5 else [])
+
+
+def test_recognizers_match_their_definitions_exhaustively_to_n6():
+    for n in range(7):
+        for g in enumerate_labeled_graphs(n):
+            _check_against_definitions(g)
+
+
+def test_recognizers_match_their_definitions_on_seeded_coronas_and_diadems(rng):
+    recognized = 0
+    for g in _seeded_coronas_and_diadems(rng, 300):
+        _check_against_definitions(g)
+        recognized += recognize_corona(g) is not None or recognize_diadem(g) is not None
+    assert recognized >= 300  # the unperturbed graphs at least
+
+
+def test_recognizers_build_no_graph(monkeypatch):
+    # every induced subgraph and every complement goes through Graph._derived
+    matching = Graph.from_edges(6, [(0, 4), (1, 3), (2, 5)])
+    corona_plus_isolated = corona(cycle_graph(5), complete_graph(1)).add_vertex([])
+    diadem_plus_k2 = diadem(path_graph(3)).add_vertex([]).add_vertex([7])
+    k34 = complete_bipartite_graph(3, 4)
+
+    def refuse(cls, n, rows):
+        raise AssertionError("a recognizer built a graph")
+
+    monkeypatch.setattr(Graph, "_derived", classmethod(refuse))
+    assert recognize_corona(matching).to_list() == [0, 1, 2]
+    assert recognize_corona(corona_plus_isolated) is None
+    assert check_gamma_cer_equals_n(corona_plus_isolated)
+    base, s = recognize_diadem(diadem_plus_k2)
+    assert (base.to_list(), s) == ([0, 1, 2, 7], 0)
+    assert recognize_diadem(matching) is None
+    assert complete_bipartite_sides(k34) == (3, 4)
+    assert complete_bipartite_sides(matching) is None
+    for g in (matching, corona_plus_isolated, diadem_plus_k2, k34):
+        for recognizer in (recognize_corona, recognize_diadem,
+                           check_gamma_cer_equals_n, complete_bipartite_sides):
+            recognizer(g)
