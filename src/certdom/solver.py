@@ -33,11 +33,24 @@ Two independent routes are provided:
   is read from the closed forms of ``structure`` or bounded by the paper's
   upper bounds; both are checked against this search.
 
-  The domination and certified searches differ only in propagation's
-  certified rules.  Only connected components are solved apart: a node whose
-  undominated vertices fall into parts sharing no allowed dominator is not
-  split (Akiba & Iwata 2016): with the certificate phase's pins such nodes
-  are rare, and looking for them costs more than splitting saves.
+  Where the bound fails, the domination search drops dominated branch
+  candidates, the subset rule of set cover (Fomin, Grandoni & Kratsch 2009;
+  column dominance in Beasley 1987): a candidate whose share of the
+  undominated vertices another candidate also covers gets no child and is
+  pinned out in every child (the lower index kept on equal shares).  Every
+  candidate dominates the branch vertex, so comparing candidates among
+  themselves finds every such cover.  A completion that holds a dropped
+  candidate trades it for its keeper, following the chain; the set is no
+  larger, still dominates and lies in a kept child, so both the optimum and
+  every first-hit query of the certificate phase survive.  The trade does
+  not keep a set certified, so the certified search has no such rule.
+
+  Apart from that rule the domination and certified searches differ only
+  in propagation's certified rules.  Only connected components are solved
+  apart: a node whose undominated vertices fall into parts sharing no
+  allowed dominator is not split (Akiba & Iwata 2016): with the certificate
+  phase's pins such nodes are rare, and looking for them costs more than
+  splitting saves.
 
 Certificates are deterministic: among all optimal sets the lexicographically
 smallest (by sorted vertex list) is returned, found by self-reduction.  Each
@@ -63,6 +76,7 @@ component's optimal witness as it stands, certified but not lex-smallest.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
+from functools import cache
 from heapq import heapify, heappop, heapreplace
 from itertools import combinations
 from math import lcm
@@ -92,6 +106,7 @@ class SolveStats:
     packing_prunes: int = 0  # nodes cut by the greedy packing bound
     fractional_prunes: int = 0  # nodes cut by the fractional packing bound alone
     dead_ends: int = 0  # branches propagation proved infeasible
+    dominated_pins: int = 0  # branch candidates dropped for one covering their share of U
 
     def as_dict(self) -> dict[str, int]:
         return asdict(self)
@@ -194,12 +209,23 @@ class _Hit(Exception):
     """Stops a first-hit search at its first qualifying set."""
 
 
+@cache
+def _sweep_weights(top: int) -> tuple[int, ...]:
+    """(L, L // 1, ..., L // top) for L = lcm(1, ..., top): the fractional
+    bound's weights 1/t in units of 1/L, exact for every level up to top.
+    Levels never pass the most closed neighbours, so few are ever built."""
+    whole = lcm(*range(1, top + 1))
+    return (whole, *(whole // t for t in range(1, top + 1)))
+
+
 class _Search:
     """In/out decision search over one graph's vertices, on raw bitmasks.
     One search serves every phase of a component; the certified solve turns
     ``certified`` on after the value phase.  Nodes and prunes are counted on
     the solve's ``stats``, and the node past ``limit`` raises _NodeLimit.
-    The two searches differ only in ``_propagate``'s certified rules."""
+    The two searches differ in ``_propagate``'s certified rules and in
+    ``_descend_best``'s dominated candidates, dropped only when not
+    certified."""
 
     __slots__ = (
         "adj", "closed", "full", "certified", "stats", "limit",
@@ -337,20 +363,27 @@ class _Search:
             return count
         # a vertex of U first reached from the level t of dominators covering
         # t vertices of U, taken from the largest t down, has k_u = t
-        levels: dict[int, int] = {}
+        levels = [0]
+        top = 0
         while dom:
             v = dom.bit_length() - 1
             dom ^= 1 << v
             row = closed[v] & undom
             t = row.bit_count()
-            levels[t] = levels.get(t, 0) | row
-        denom = lcm(*levels)
+            if t > top:
+                levels += [0] * (t - top)
+                top = t
+            levels[t] |= row
+        weights = _sweep_weights(top)
         num = 0
-        for t in sorted(levels, reverse=True):
+        for t in range(top, 0, -1):
             row = levels[t] & undom
-            undom ^= row
-            num += row.bit_count() * (denom // t)
-        frac = -(-num // denom)
+            if row:
+                undom ^= row
+                num += row.bit_count() * weights[t]
+                if not undom:
+                    break
+        frac = -(-num // weights[0])
         if frac >= need:
             self.stats.fractional_prunes += 1
         return max(count, frac)
@@ -368,9 +401,10 @@ class _Search:
 
     def _descend_best(self, in_mask: int, out_mask: int, covered: int,
                       moved: int | None = None) -> None:
-        """Branch on the allowed dominators of one undominated vertex,
-        improving ``best_val``/``best_mask`` (raising _Hit on the first
-        improvement in first-hit mode); ``moved`` is passed to _propagate."""
+        """Branch on the allowed dominators of one undominated vertex, less
+        the dominated ones outside certified mode, improving
+        ``best_val``/``best_mask`` (raising _Hit on the first improvement in
+        first-hit mode); ``moved`` is passed to _propagate."""
         stats = self.stats
         stats.nodes_expanded += 1
         if self.limit is not None and stats.nodes_expanded > self.limit:
@@ -399,6 +433,24 @@ class _Search:
         closed = self.closed
         cand = self.branch
         excl = 0
+        if not self.certified:
+            # drop each candidate whose share of U another one covers, the
+            # lower index kept on a tie; the module docstring says why
+            undom = self.full ^ covered
+            rows = []
+            m = cand
+            while m:
+                low = m & -m
+                m ^= low
+                rows.append((low, closed[low.bit_length() - 1] & undom))
+            for v, rv in rows:
+                for w, rw in rows:
+                    if w != v and not rv & ~rw and (rv != rw or w < v):
+                        excl |= v
+                        break
+            if excl:
+                stats.dominated_pins += excl.bit_count()
+                cand ^= excl
         while cand:
             low = cand & -cand
             cand ^= low

@@ -97,12 +97,16 @@ class SolveCache:
     ``CACHE_MAX_ENTRIES`` caps memory.  One certified solve fills the entry
     for ``gamma_cer``, ``gamma_cer_cert`` and ``gamma`` alike.  Unlike the
     ``analysis`` reports it keeps the lex-smallest certificate phase, as
-    LEM6.1 reads the certificate through ``gamma_cer_cert``.
+    LEM6.1 reads the certificate through ``gamma_cer_cert``.  The complement
+    of the last graph asked for is kept too, so the complement-pair claims
+    of one graph share one copy and its ``components`` and ``leaf_profile``
+    memos.
     """
 
     def __init__(self):
         self._cer: dict = {}
         self._mds: dict = {}
+        self._co: tuple = (None, None)
 
     @staticmethod
     def _room(store: dict) -> None:
@@ -127,6 +131,12 @@ class SolveCache:
             self._room(self._cer)
             self._cer[key] = got
         return got
+
+    def complement(self, g: Graph) -> Graph:
+        key = (g.n, g.adj)
+        if self._co[0] != key:
+            self._co = (key, complement(g))
+        return self._co[1]
 
     def min_dom_masks(self, g: Graph) -> tuple[int, ...]:
         key = (g.n, g.adj)
@@ -476,7 +486,7 @@ def _c_vertex_add(g, cache):
 def _c_ng_dense(g, cache):
     if g.n < 1:
         return _NA
-    gbar = complement(g)
+    gbar = cache.complement(g)
     if min(min_degree(g), min_degree(gbar)) < 2:
         return _NA
     a, b = cache.gamma_cer(g), cache.gamma_cer(gbar)
@@ -493,7 +503,7 @@ _NG_PAIRS_4 = {(3, 2), (5, 4), (6, 8), (8, 16)}
 def _c_ng_small(g, cache):
     if g.n not in (2, 3, 4):
         return _NA
-    a, b = cache.gamma_cer(g), cache.gamma_cer(complement(g))
+    a, b = cache.gamma_cer(g), cache.gamma_cer(cache.complement(g))
     pair = (a + b, a * b)
     want = {2: {(4, 4)}, 3: {(4, 3)}, 4: _NG_PAIRS_4}[g.n]
     return _check(pair in want, pair=list(pair), allowed=sorted(want))
@@ -503,7 +513,7 @@ def _c_ng_small(g, cache):
 def _c_ng_isolated(g, cache):
     if g.n < 3:
         return _NA
-    gbar = complement(g)
+    gbar = cache.complement(g)
     if min(min_degree(g), min_degree(gbar)) != 0:
         return _NA
     a, b = cache.gamma_cer(g), cache.gamma_cer(gbar)
@@ -527,7 +537,7 @@ def _c_ng_isolated(g, cache):
 def _c_ng_general(g, cache):
     if g.n < 5:
         return _NA
-    gbar = complement(g)
+    gbar = cache.complement(g)
     a, b = cache.gamma_cer(g), cache.gamma_cer(gbar)
     s, p = a + b, a * b
     n = g.n

@@ -286,13 +286,13 @@ def _seeded_forest():
 
 # (input, extra flags, param) -> (value, proven, stats in STATS_KEYS order)
 _PINNED_SOLVES = [
-    ("fig1 3", (), "gamma-cer", (6, True, (5, 4, 0, 0, 0, 2, 0, 1))),
-    ("fig1 3", (), "gamma", (5, True, (4, 0, 0, 0, 3, 2, 0, 0))),
-    ("gnp40", (), "gamma-cer", (5, True, (424, 0, 0, 0, 396, 190, 149, 0))),
-    ("gnp40", (), "gamma", (5, True, (424, 0, 0, 0, 396, 190, 149, 0))),
-    ("forest", ("--node-limit", "50"), "gamma-cer", (42, True, (26, 31, 3, 0, 11, 9, 0, 2))),
-    ("forest", ("--node-limit", "50"), "gamma", (33, True, (17, 0, 3, 0, 8, 8, 0, 0))),
-    ("forest", ("--node-limit", "10"), "gamma", (33, False, (11, 0, 3, 0, 2, 2, 0, 0))),
+    ("fig1 3", (), "gamma-cer", (6, True, (5, 4, 0, 0, 0, 2, 0, 1, 0))),
+    ("fig1 3", (), "gamma", (5, True, (4, 0, 0, 0, 3, 2, 0, 0, 2))),
+    ("gnp40", (), "gamma-cer", (5, True, (422, 0, 0, 0, 396, 188, 149, 0, 2))),
+    ("gnp40", (), "gamma", (5, True, (365, 0, 0, 0, 339, 149, 134, 0, 42))),
+    ("forest", ("--node-limit", "50"), "gamma-cer", (42, True, (21, 31, 3, 0, 11, 9, 0, 2, 2))),
+    ("forest", ("--node-limit", "50"), "gamma", (33, True, (12, 0, 3, 0, 8, 8, 0, 0, 2))),
+    ("forest", ("--node-limit", "10"), "gamma", (33, False, (11, 0, 3, 0, 7, 7, 0, 0, 2))),
 ]
 
 
@@ -331,11 +331,13 @@ def test_solve_text_output_is_pinned(capsys, monkeypatch):
 
 @pytest.mark.parametrize("name,limit,param,value", [
     ("gnp40", "29", "gamma-cer", 5),  # stopped in the lex phase: the value is proven
-    ("forest", "10", "gamma", 33),  # stopped in the value phase
+    ("forest", "10", "gamma", 33),  # stopped in the lex phase as well
+    ("forest", "3", "gamma", 33),  # stopped in the value phase
 ])
 def test_solve_text_warning_holds_wherever_the_limit_hits(capsys, monkeypatch, name, limit,
                                                           param, value):
-    # gnp40's certified solve spends 28 of its 424 nodes before the lex phase
+    # gnp40's certified solve spends 26 of its 422 nodes before the lex
+    # phase; the forest's gamma solve finishes its value phase in 4 nodes
     code, out, _ = run_cli(
         capsys, "solve", "-", "--param", param, "--node-limit", limit,
         stdin=_pinned_input(name), monkeypatch=monkeypatch,

@@ -158,6 +158,24 @@ def test_certificate_is_lexicographically_smallest_mid_n():
         assert gamma_cer_solve(g).certificate.mask == lex_cer
 
 
+def test_dominated_pins_keep_the_oracles_answers():
+    # a dropped branch candidate must never cost the optimum or the
+    # lex-smallest certificate; the certified search drops none
+    import random
+
+    rng = random.Random(20)
+    pinned = 0
+    for i in range(200):
+        g = random_graph(rng.randrange(8, 17), (0.15, 0.25, 0.35, 0.5)[i % 4], rng)
+        want, got = gamma_oracle(g), gamma_solve(g)
+        assert (got.value, got.certificate.mask) == (want.value, want.certificate.mask), g
+        want_cer, got_cer = gamma_cer_oracle(g), gamma_cer_solve(g)
+        assert (got_cer.value, got_cer.certificate.mask) == (
+            want_cer.value, want_cer.certificate.mask), g
+        pinned += got.stats.dominated_pins > 0
+    assert pinned >= 20
+
+
 def test_component_additivity_and_stats():
     g = Graph.from_edges(7, [(0, 1), (1, 2), (3, 4)])  # P3 + K2 + 2 K1
     res = gamma_cer_solve(g)
@@ -394,14 +412,15 @@ def test_value_only_solve_is_proven_where_the_full_solve_stops_in_its_lex_phase(
 
 def test_node_limit_keeps_the_best_set_found():
     # a limit inside the value search returns the best set it found, not
-    # the greedy cover it started from
+    # the greedy cover it started from (11 here); the value phase takes
+    # about 500 of the 859 nodes, so 300 stops it
     import random
 
     from certdom.graphs import leaf_profile
 
     g = random_graph(45, 0.1, random.Random(23))
     assert not leaf_profile(g).leaves  # the value phase pins nothing here
-    cut = SolverConfig(node_limit=1000)
+    cut = SolverConfig(node_limit=300)
     res = gamma_solve(g, cut)
     assert not res.proven and res.value == gamma_solve(g).value == 10
     assert is_dominating(g, res.certificate)
@@ -411,7 +430,9 @@ def test_a_stopped_certified_solve_is_no_larger_than_its_repaired_greedy_cover()
     # a limit inside the value phase of the certified solve still seeds its
     # certified search with a dominating set repaired into a certified set,
     # not with nearly the whole vertex set: on the 8x8 grid the best set
-    # found by 2,000 nodes repairs to all 64 vertices, the greedy cover to 20
+    # found by 2,000 nodes once repaired to all 64 vertices, the greedy cover
+    # to 20.  The dominated-candidate pins now finish that value phase within
+    # 2,000 nodes, so the grid stops at 1,000.
     import random
 
     from certdom import is_connected
@@ -420,7 +441,7 @@ def test_a_stopped_certified_solve_is_no_larger_than_its_repaired_greedy_cover()
 
     grid = Graph.from_edges(64, [(v, v + d) for v in range(64) for d in (1, 8)
                                  if v + d < 64 and (d == 8 or v % 8 < 7)])
-    for g, limit in ((random_graph(100, 0.05, random.Random(1)), 1000), (grid, 2000)):
+    for g, limit in ((random_graph(100, 0.05, random.Random(1)), 1000), (grid, 1000)):
         assert is_connected(g)
         res = gamma_cer_solve(g, SolverConfig(node_limit=limit))
         assert not res.proven and res.gamma is None  # the value phase stopped
@@ -552,7 +573,7 @@ def test_a_stopped_solve_counts_one_node_past_its_limit():
 # repr((value, certificate, proven, gamma, stats)) of gamma_solve and
 # gamma_cer_solve.  It pins the search tree, not only the answers: a change
 # to a propagation rule or a bound that expands other nodes moves it.
-_SEARCH_N5_SHA256 = "7eedcb4955d76618a902ef33ef7dc7d0138e4ad4b5c5c2751f4d96b52a464cee"
+_SEARCH_N5_SHA256 = "ec93b1580944f4aa327072f511689a5498df31ca9125ff7884b5f63d4ecbfd59"
 
 
 def test_search_fingerprint_on_every_graph_of_order_5():
@@ -566,6 +587,25 @@ def test_search_fingerprint_on_every_graph_of_order_5():
                 digest.update(repr((res.value, res.certificate.to_list(), res.proven,
                                     res.gamma, res.stats.as_dict())).encode())
     assert digest.hexdigest() == _SEARCH_N5_SHA256
+
+
+# sha256 over every labeled graph of order <= 5, in enumeration order, of
+# repr((value, certificate, proven, gamma)) of gamma_solve, gamma_cer_solve
+# and the value-only gamma_cer_solve.  Unlike _SEARCH_N5_SHA256 it reads no
+# stats, so a pruning rule that moves only the search tree leaves it alone.
+_ANSWERS_N5_SHA256 = "b1c1ffa74f5a07b9e73b10b3029bbff95447eac401c04f730bed5bd7319d162e"
+
+
+def test_answers_fingerprint_on_every_graph_of_order_5():
+    import hashlib
+
+    digest = hashlib.sha256()
+    for n in range(6):
+        for g in enumerate_labeled_graphs(n):
+            for res in (gamma_solve(g), gamma_cer_solve(g), gamma_cer_solve(g, lex_min=False)):
+                digest.update(repr((res.value, res.certificate.to_list(), res.proven,
+                                    res.gamma)).encode())
+    assert digest.hexdigest() == _ANSWERS_N5_SHA256
 
 
 def test_gamma_on_a_tree_corona_is_proven_with_the_lex_first_set():
