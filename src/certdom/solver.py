@@ -45,12 +45,33 @@ Two independent routes are provided:
   every first-hit query of the certificate phase survive.  The trade does
   not keep a set certified, so the certified search has no such rule.
 
-  Apart from that rule the domination and certified searches differ only
-  in propagation's certified rules.  Only connected components are solved
-  apart: a node whose undominated vertices fall into parts sharing no
-  allowed dominator is not split (Akiba & Iwata 2016): with the certificate
-  phase's pins such nodes are rare, and looking for them costs more than
-  splitting saves.
+  Where the bound falls short of pruning by exactly one vertex, both
+  searches reuse its two duals to pin out every vertex that no completion
+  of fewer than ``need`` vertices holds (reduced-cost fixing; Beasley 1990).
+  With the greedy count at need - 1, a vertex outside every packed vertex's
+  allowed dominators dominates none of them, so taking it still leaves
+  that many to add.  The fractional packing has total num / L, in units of
+  1/L; taking v covers load_v of it, the sum of L / k_u over u in N[v] and
+  U, and leaves at least (num - load_v) / L, rounded up, to add: need - 1
+  or more when num - load_v > (need - 2) L.  A vertex covering t of U has
+  load at least t times the least weight, so only those below the count at
+  which that reaches the margin are summed.  Certified sets dominate, so
+  the pins hold in the certified search too, where they also take every
+  allowed vertex that dominates none of U: the domination search has no use
+  for those, the certified rules do.  The pins go to propagation and the
+  bound runs again at the same node before it branches.  The argument
+  covers every completion below need under the node's pins, at zero gap
+  (every first-hit query of the certificate phase) as in the value search,
+  so it composes with the dominated candidates, which are drawn after it:
+  a keeper is a candidate, so trading a dropped candidate for it keeps a
+  set clear of every fixed vertex.
+
+  Apart from those two rules the domination and certified searches differ
+  only in propagation's certified rules.  Only connected components are
+  solved apart: a node whose undominated vertices fall into parts sharing
+  no allowed dominator is not split (Akiba & Iwata 2016): with the
+  certificate phase's pins such nodes are rare, and looking for them costs
+  more than splitting saves.
 
 Certificates are deterministic: among all optimal sets the lexicographically
 smallest (by sorted vertex list) is returned, found by self-reduction.  Each
@@ -107,6 +128,7 @@ class SolveStats:
     fractional_prunes: int = 0  # nodes cut by the fractional packing bound alone
     dead_ends: int = 0  # branches propagation proved infeasible
     dominated_pins: int = 0  # branch candidates dropped for one covering their share of U
+    reduced_cost_pins: int = 0  # vertices pinned out by a bound one short of pruning
 
     def as_dict(self) -> dict[str, int]:
         return asdict(self)
@@ -223,13 +245,14 @@ class _Search:
     One search serves every phase of a component; the certified solve turns
     ``certified`` on after the value phase.  Nodes and prunes are counted on
     the solve's ``stats``, and the node past ``limit`` raises _NodeLimit.
-    The two searches differ in ``_propagate``'s certified rules and in
+    The two searches differ in ``_propagate``'s certified rules, in
     ``_descend_best``'s dominated candidates, dropped only when not
-    certified."""
+    certified, and in ``_pack_bound``'s pins, which take vertices that
+    dominate none of U only when certified."""
 
     __slots__ = (
         "adj", "closed", "full", "certified", "stats", "limit",
-        "best_val", "best_mask", "first_hit", "branch",
+        "best_val", "best_mask", "first_hit", "branch", "pins",
     )
 
     def __init__(self, g: Graph, certified: bool, stats: SolveStats,
@@ -339,7 +362,13 @@ class _Search:
         vertices needed.  Certified sets dominate, so both bound either
         search.  The greedy scan also sets ``branch`` to the allowed
         dominators of the lowest vertex of U with the fewest; propagation
-        leaves each at least two, so the first with two is that vertex."""
+        leaves each at least two, so the first with two is that vertex.
+
+        Below ``need``, ``pins`` is set to the allowed vertices that no
+        completion of fewer than ``need`` vertices holds, by either dual
+        (reduced-cost fixing; the module docstring says why), and to 0 when
+        the bound falls short by more than one.  It may hold vertices
+        already in; outside certified mode it holds only dominators of U."""
         closed = self.closed
         allowed = self.full ^ out_mask
         undom = self.full ^ covered
@@ -363,6 +392,7 @@ class _Search:
             return count
         # a vertex of U first reached from the level t of dominators covering
         # t vertices of U, taken from the largest t down, has k_u = t
+        holders = dom
         levels = [0]
         top = 0
         while dom:
@@ -375,17 +405,51 @@ class _Search:
                 top = t
             levels[t] |= row
         weights = _sweep_weights(top)
+        whole = weights[0]
         num = 0
+        rest = undom
+        parts = []
         for t in range(top, 0, -1):
-            row = levels[t] & undom
+            row = levels[t] & rest
             if row:
-                undom ^= row
+                rest ^= row
                 num += row.bit_count() * weights[t]
-                if not undom:
+                parts.append((row, weights[t]))
+                if not rest:
                     break
-        frac = -(-num // weights[0])
+        frac = -(-num // whole)
         if frac >= need:
             self.stats.fractional_prunes += 1
+            return frac
+        # taking v leaves the packed vertices outside N[v] to dominate, at
+        # least count of them when v is outside used, and weight num - load_v
+        # to cover, at least ceil((num - load_v) / whole) vertices more
+        pins = 0
+        if count == need - 1:
+            pins = (allowed if self.certified else holders) & ~used
+        thr = num - (need - 2) * whole
+        if thr > 0:
+            if self.certified:
+                pins |= allowed & ~holders
+            parts.reverse()  # heaviest weights first, to pass thr soonest
+            # a holder covering t of U has load at least t * weights[top]
+            fits = -(-thr // weights[top])
+            m = holders & ~pins
+            while m:
+                low = m & -m
+                m ^= low
+                row = closed[low.bit_length() - 1] & undom
+                if row.bit_count() >= fits:
+                    continue
+                load = 0
+                for part, w in parts:
+                    if row & part:
+                        load += (row & part).bit_count() * w
+                        if load >= thr:
+                            break
+                else:
+                    pins |= low
+        self.pins = pins
         return max(count, frac)
 
     # -- phase 1: optimal value ----------------------------------------------
@@ -413,23 +477,29 @@ class _Search:
             stats.nodes_expanded = self.limit + 1
             raise _NodeLimit
         state = self._propagate(in_mask, out_mask, covered, moved)
-        if state is None:
-            return
-        in_mask, out_mask, covered = state
-        size = in_mask.bit_count()
-        if size >= self.best_val:
-            return
-        if covered == self.full:
-            # Propagation fixpoint: leaving every undecided vertex outside
-            # is a feasible completion of exactly this size.
-            self.best_val = size
-            self.best_mask = in_mask
-            if self.first_hit:
-                raise _Hit
-            return
-        need = self.best_val - size
-        if self._pack_bound(out_mask, covered, need) >= need:
-            return
+        while True:
+            if state is None:
+                return
+            in_mask, out_mask, covered = state
+            size = in_mask.bit_count()
+            if size >= self.best_val:
+                return
+            if covered == self.full:
+                # Propagation fixpoint: leaving every undecided vertex outside
+                # is a feasible completion of exactly this size.
+                self.best_val = size
+                self.best_mask = in_mask
+                if self.first_hit:
+                    raise _Hit
+                return
+            need = self.best_val - size
+            if self._pack_bound(out_mask, covered, need) >= need:
+                return
+            pins = self.pins & ~in_mask
+            if not pins:
+                break
+            stats.reduced_cost_pins += pins.bit_count()
+            state = self._propagate(in_mask, out_mask | pins, covered, pins)
         closed = self.closed
         cand = self.branch
         excl = 0

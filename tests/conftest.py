@@ -25,7 +25,7 @@ def seeded_gnp_40() -> Graph:
 # SolveStats.as_dict keys, in their stable order
 STATS_KEYS = ["nodes_expanded", "forced_vertices", "components_split",
               "closed_form_hits", "certificate_nodes", "packing_prunes",
-              "fractional_prunes", "dead_ends", "dominated_pins"]
+              "fractional_prunes", "dead_ends", "dominated_pins", "reduced_cost_pins"]
 
 
 @pytest.fixture

@@ -286,13 +286,13 @@ def _seeded_forest():
 
 # (input, extra flags, param) -> (value, proven, stats in STATS_KEYS order)
 _PINNED_SOLVES = [
-    ("fig1 3", (), "gamma-cer", (6, True, (5, 4, 0, 0, 0, 2, 0, 1, 0))),
-    ("fig1 3", (), "gamma", (5, True, (4, 0, 0, 0, 3, 2, 0, 0, 2))),
-    ("gnp40", (), "gamma-cer", (5, True, (422, 0, 0, 0, 396, 188, 149, 0, 2))),
-    ("gnp40", (), "gamma", (5, True, (365, 0, 0, 0, 339, 149, 134, 0, 42))),
-    ("forest", ("--node-limit", "50"), "gamma-cer", (42, True, (21, 31, 3, 0, 11, 9, 0, 2, 2))),
-    ("forest", ("--node-limit", "50"), "gamma", (33, True, (12, 0, 3, 0, 8, 8, 0, 0, 2))),
-    ("forest", ("--node-limit", "10"), "gamma", (33, False, (11, 0, 3, 0, 7, 7, 0, 0, 2))),
+    ("fig1 3", (), "gamma-cer", (6, True, (2, 4, 0, 0, 0, 1, 0, 1, 0, 10))),
+    ("fig1 3", (), "gamma", (5, True, (3, 0, 0, 0, 2, 2, 0, 0, 0, 7))),
+    ("gnp40", (), "gamma-cer", (5, True, (135, 0, 0, 0, 124, 32, 47, 28, 0, 1076))),
+    ("gnp40", (), "gamma", (5, True, (131, 0, 0, 0, 120, 32, 44, 27, 4, 1040))),
+    ("forest", ("--node-limit", "50"), "gamma-cer", (42, True, (21, 31, 3, 0, 11, 9, 0, 2, 2, 0))),
+    ("forest", ("--node-limit", "50"), "gamma", (33, True, (12, 0, 3, 0, 8, 8, 0, 0, 2, 0))),
+    ("forest", ("--node-limit", "10"), "gamma", (33, False, (11, 0, 3, 0, 7, 7, 0, 0, 2, 0))),
 ]
 
 
@@ -326,7 +326,7 @@ def test_solve_text_output_is_pinned(capsys, monkeypatch):
     )
     assert code == 0
     assert out == ("value: 6\ncertificate: 0 1 2 5 9 13\n"
-                   "stats: nodes=5 forced=4 components=0 closed_forms=0\n")
+                   "stats: nodes=2 forced=4 components=0 closed_forms=0\n")
 
 
 @pytest.mark.parametrize("name,limit,param,value", [
@@ -336,7 +336,7 @@ def test_solve_text_output_is_pinned(capsys, monkeypatch):
 ])
 def test_solve_text_warning_holds_wherever_the_limit_hits(capsys, monkeypatch, name, limit,
                                                           param, value):
-    # gnp40's certified solve spends 26 of its 422 nodes before the lex
+    # gnp40's certified solve spends 11 of its 135 nodes before the lex
     # phase; the forest's gamma solve finishes its value phase in 4 nodes
     code, out, _ = run_cli(
         capsys, "solve", "-", "--param", param, "--node-limit", limit,

@@ -122,11 +122,26 @@ def test_gamma_certificates_on_sparse_graphs_are_the_milp_lex_min():
             assert res.certificate.to_list() == _milp_lex_min(g, res.value)
 
 
+def _benchmark_gnp(key: str, n: int, p: float) -> Graph:
+    """The ``solve-gnp`` pool graph ``key``, drawn by the benchmark's own
+    generator in ``perfbench/inputs.py``."""
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    return Graph.from_edges(n, inputs.connected_gnp(n, p, random.Random(key)))
+
+
 def test_certificates_of_a_dense_gnp_are_the_milp_lex_min():
     # past the subset oracle's n <= 20, for both solves; on the connected
     # G(60, 0.1) self-reduction on the certified program meets infeasible
-    # pins, which count as "the optimum is not kept"
-    for g in (seeded_gnp_40(), random_graph(60, 0.1, random.Random(0))):
+    # pins, which count as "the optimum is not kept".  gnp-60-0.1-0 is the
+    # benchmark pool's slowest solve
+    for g in (seeded_gnp_40(), random_graph(60, 0.1, random.Random(0)),
+              _benchmark_gnp("gnp-60-0.1-0", 60, 0.1)):
         for solve, certified in ((gamma_solve, False), (gamma_cer_solve, True)):
             res = solve(g)
             assert res.proven
