@@ -45,6 +45,14 @@ Two independent routes are provided:
   every first-hit query of the certificate phase survive.  The trade does
   not keep a set certified, so the certified search has no such rule.
 
+  Both searches branch on the candidates by their share of U, the
+  undominated vertices, largest first and the lower index on a tie (the
+  greedy rule of set cover, Chvatal 1979), so small sets turn up sooner.
+  Child i takes c_i and pins out c_1 .. c_(i-1), which splits the
+  completions in any order, so no optimum, first-hit verdict or lex-smallest
+  certificate depends on it; only a value-only solve's witness may move with
+  it, still certified and optimal.
+
   Where the bound falls short of pruning by exactly one vertex, both
   searches reuse its two duals to pin out every vertex that no completion
   of fewer than ``need`` vertices holds (reduced-cost fixing; Beasley 1990).
@@ -245,10 +253,10 @@ class _Search:
     One search serves every phase of a component; the certified solve turns
     ``certified`` on after the value phase.  Nodes and prunes are counted on
     the solve's ``stats``, and the node past ``limit`` raises _NodeLimit.
-    The two searches differ in ``_propagate``'s certified rules, in
-    ``_descend_best``'s dominated candidates, dropped only when not
-    certified, and in ``_pack_bound``'s pins, which take vertices that
-    dominate none of U only when certified."""
+    Both branch largest share of U first; they differ in ``_propagate``'s
+    certified rules, in ``_descend_best``'s dominated candidates, dropped
+    only when not certified, and in ``_pack_bound``'s pins, which take
+    vertices that dominate none of U only when certified."""
 
     __slots__ = (
         "adj", "closed", "full", "certified", "stats", "limit",
@@ -465,8 +473,9 @@ class _Search:
 
     def _descend_best(self, in_mask: int, out_mask: int, covered: int,
                       moved: int | None = None) -> None:
-        """Branch on the allowed dominators of one undominated vertex, less
-        the dominated ones outside certified mode, improving
+        """Branch on the allowed dominators of one undominated vertex, the
+        largest share of U first (the lower index on a tie), less the
+        dominated ones outside certified mode, improving
         ``best_val``/``best_mask`` (raising _Hit on the first improvement in
         first-hit mode); ``moved`` is passed to _propagate."""
         stats = self.stats
@@ -501,32 +510,31 @@ class _Search:
             stats.reduced_cost_pins += pins.bit_count()
             state = self._propagate(in_mask, out_mask | pins, covered, pins)
         closed = self.closed
-        cand = self.branch
+        undom = self.full ^ covered
+        rows = []
+        m = self.branch
+        while m:
+            low = m & -m
+            m ^= low
+            row = closed[low.bit_length() - 1] & undom
+            rows.append((-row.bit_count(), low, row))
+        rows.sort()  # largest share of U first, the lower index on a tie
         excl = 0
         if not self.certified:
             # drop each candidate whose share of U another one covers, the
             # lower index kept on a tie; the module docstring says why
-            undom = self.full ^ covered
-            rows = []
-            m = cand
-            while m:
-                low = m & -m
-                m ^= low
-                rows.append((low, closed[low.bit_length() - 1] & undom))
-            for v, rv in rows:
-                for w, rw in rows:
+            for _, v, rv in rows:
+                for _, w, rw in rows:
                     if w != v and not rv & ~rw and (rv != rw or w < v):
                         excl |= v
                         break
             if excl:
                 stats.dominated_pins += excl.bit_count()
-                cand ^= excl
-        while cand:
-            low = cand & -cand
-            cand ^= low
-            self._descend_best(in_mask | low, out_mask | excl,
-                               covered | closed[low.bit_length() - 1], low | excl)
-            excl |= low
+        for _, low, _ in rows:
+            if not low & excl:
+                self._descend_best(in_mask | low, out_mask | excl,
+                                   covered | closed[low.bit_length() - 1], low | excl)
+                excl |= low
 
     # -- phase 2: lexicographically smallest optimum -------------------------
 

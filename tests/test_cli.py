@@ -288,8 +288,8 @@ def _seeded_forest():
 _PINNED_SOLVES = [
     ("fig1 3", (), "gamma-cer", (6, True, (2, 4, 0, 0, 0, 1, 0, 1, 0, 10))),
     ("fig1 3", (), "gamma", (5, True, (3, 0, 0, 0, 2, 2, 0, 0, 0, 7))),
-    ("gnp40", (), "gamma-cer", (5, True, (135, 0, 0, 0, 124, 32, 47, 28, 0, 1076))),
-    ("gnp40", (), "gamma", (5, True, (131, 0, 0, 0, 120, 32, 44, 27, 4, 1040))),
+    ("gnp40", (), "gamma-cer", (5, True, (131, 0, 0, 0, 120, 40, 40, 22, 0, 960))),
+    ("gnp40", (), "gamma", (5, True, (127, 0, 0, 0, 116, 40, 38, 20, 4, 893))),
     ("forest", ("--node-limit", "50"), "gamma-cer", (42, True, (21, 31, 3, 0, 11, 9, 0, 2, 2, 0))),
     ("forest", ("--node-limit", "50"), "gamma", (33, True, (12, 0, 3, 0, 8, 8, 0, 0, 2, 0))),
     ("forest", ("--node-limit", "10"), "gamma", (33, False, (11, 0, 3, 0, 7, 7, 0, 0, 2, 0))),
@@ -336,7 +336,7 @@ def test_solve_text_output_is_pinned(capsys, monkeypatch):
 ])
 def test_solve_text_warning_holds_wherever_the_limit_hits(capsys, monkeypatch, name, limit,
                                                           param, value):
-    # gnp40's certified solve spends 11 of its 135 nodes before the lex
+    # gnp40's certified solve spends 11 of its 131 nodes before the lex
     # phase; the forest's gamma solve finishes its value phase in 4 nodes
     code, out, _ = run_cli(
         capsys, "solve", "-", "--param", param, "--node-limit", limit,

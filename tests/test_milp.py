@@ -123,8 +123,9 @@ def test_gamma_certificates_on_sparse_graphs_are_the_milp_lex_min():
 
 
 def _benchmark_gnp(key: str, n: int, p: float) -> Graph:
-    """The ``solve-gnp`` pool graph ``key``, drawn by the benchmark's own
-    generator in ``perfbench/inputs.py``."""
+    """The connected G(n, p) seeded by ``key``, drawn by the benchmark's own
+    generator in ``perfbench/inputs.py``, as its ``solve-gnp`` pool graphs
+    are."""
     import importlib.util
     from pathlib import Path
 
@@ -139,9 +140,10 @@ def test_certificates_of_a_dense_gnp_are_the_milp_lex_min():
     # past the subset oracle's n <= 20, for both solves; on the connected
     # G(60, 0.1) self-reduction on the certified program meets infeasible
     # pins, which count as "the optimum is not kept".  gnp-60-0.1-0 is the
-    # benchmark pool's slowest solve
+    # benchmark pool's slowest solve; the G(80, 0.1) is past the pool, where
+    # the lex phase's first-hit queries run deep (gamma = gamma_cer = 11)
     for g in (seeded_gnp_40(), random_graph(60, 0.1, random.Random(0)),
-              _benchmark_gnp("gnp-60-0.1-0", 60, 0.1)):
+              _benchmark_gnp("gnp-60-0.1-0", 60, 0.1), _benchmark_gnp("x800.1", 80, 0.1)):
         for solve, certified in ((gamma_solve, False), (gamma_cer_solve, True)):
             res = solve(g)
             assert res.proven
