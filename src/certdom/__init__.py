@@ -51,6 +51,7 @@ from .families import (
 from .graphs import (
     Graph,
     GraphParseError,
+    LeafProfile,
     VertexSet,
     complement,
     components,
@@ -58,14 +59,10 @@ from .graphs import (
     encode_graph6,
     induced_subgraph,
     is_connected,
-    leaf_of,
-    leaves,
+    leaf_profile,
     parse_edge_list,
     parse_graph6,
     parse_graph6_lines,
-    strong_supports,
-    support_of,
-    weak_supports,
 )
 from .solver import (
     SizeLimitError,

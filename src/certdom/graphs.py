@@ -7,9 +7,9 @@ the exact solver targets: it proves dense random graphs up to n = 60 and
 sparse ones, such as trees, up to n = 800.
 
 The module also carries the degree/leaf/support vocabulary used throughout
-the package: ``leaf_profile`` computes leaves, weak and strong supports and
-the leaves on strong supports once per graph, and every other leaf or
-support query reads from it.
+the package: ``leaf_profile`` computes the masks of the leaves, the weak and
+strong supports and the leaves on strong supports once per graph, and is
+the package's only leaf or support query.
 """
 
 from __future__ import annotations
@@ -42,8 +42,8 @@ class VertexSet:
     """A set of vertices of an n-vertex graph, stored as a bitmask.
 
     Instances are tied to a vertex count so that complement is well defined.
-    Set algebra via ``|``, ``&``, ``-`` and ``^`` requires both operands to
-    share the same ``n``.
+    Set algebra via ``|``, ``&`` and ``-`` requires both operands to share
+    the same ``n``.
     """
 
     n: int
@@ -95,16 +95,8 @@ class VertexSet:
         self._check(other)
         return VertexSet(self.n, self.mask & ~other.mask)
 
-    def __xor__(self, other: "VertexSet") -> "VertexSet":
-        self._check(other)
-        return VertexSet(self.n, self.mask ^ other.mask)
-
     def complement(self) -> "VertexSet":
         return VertexSet(self.n, ~self.mask & ((1 << self.n) - 1))
-
-    def isdisjoint(self, other: "VertexSet") -> bool:
-        self._check(other)
-        return self.mask & other.mask == 0
 
     def issubset(self, other: "VertexSet") -> bool:
         self._check(other)
@@ -363,46 +355,6 @@ def leaf_profile(g: Graph) -> LeafProfile:
     prof = LeafProfile(leaf, once & ~twice, twice, strong_leaves)
     object.__setattr__(g, "_leaves", prof)
     return prof
-
-
-def leaves(g: Graph) -> VertexSet:
-    """Vertices of degree one."""
-    return VertexSet(g.n, leaf_profile(g).leaves)
-
-
-def leaf_mask(g: Graph) -> int:
-    return leaf_profile(g).leaves
-
-
-def supports_mask(g: Graph) -> int:
-    """Vertices adjacent to at least one leaf (weak and strong supports)."""
-    prof = leaf_profile(g)
-    return prof.weak | prof.strong
-
-
-def weak_supports(g: Graph) -> VertexSet:
-    """Vertices adjacent to exactly one leaf."""
-    return VertexSet(g.n, leaf_profile(g).weak)
-
-
-def strong_supports(g: Graph) -> VertexSet:
-    """Vertices adjacent to at least two leaves."""
-    return VertexSet(g.n, leaf_profile(g).strong)
-
-
-def support_of(g: Graph, leaf: int) -> int:
-    """The unique neighbour of a degree-one vertex."""
-    if not 0 <= leaf < g.n or g.degree(leaf) != 1:
-        raise ValueError(f"vertex {leaf} is not a leaf")
-    return g.adj[leaf].bit_length() - 1
-
-
-def leaf_of(g: Graph, weak_support: int) -> int:
-    """The unique leaf neighbour of a weak support."""
-    if weak_support not in weak_supports(g):
-        raise ValueError(f"vertex {weak_support} is not a weak support")
-    only = g.adj[weak_support] & leaf_mask(g)
-    return only.bit_length() - 1
 
 
 def min_degree(g: Graph) -> int:

@@ -112,9 +112,7 @@ from math import lcm
 from typing import Iterator
 
 from .domination import DD2Pair, _certified, _dominates, is_2dominating
-from .graphs import (
-    Graph, VertexSet, _bits, _mask_of, components, leaf_profile, min_degree, supports_mask,
-)
+from .graphs import Graph, VertexSet, _bits, _mask_of, components, leaf_profile, min_degree
 
 ORACLE_BOUND_DEFAULT = 20
 
@@ -666,7 +664,7 @@ def _component(
                 raise AssertionError("the witness shrank under the lex pins; solver bug")
         return search, gamma, d0, (0, prof.strong_leaves | lex_out), gamma
     search.certified = True
-    pins = supports_mask(g)
+    pins = prof.weak | prof.strong
     stats.forced_vertices += pins.bit_count()
     # with nothing out, the certified rules only bring in the lone outside
     # neighbour of a member; every certified superset of d0 holds what they

@@ -5,8 +5,8 @@ shape), never by general isomorphism search: every family handled here has a
 constant-time local characterization.  ``closed_form`` states the paper's
 value tables; the solver never reads them, so the claim suite checks them
 against an independent search.  The corona and diadem recognizers and the
-value-n predictor are mask tests over ``leaf_profile`` and build no
-subgraph; the value-(n-2) predictor goes component by component.
+value-n and value-(n-2) predictors are mask tests over ``leaf_profile``
+and build no subgraph.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from .graphs import (
     VertexSet,
     _bits,
     _mask_of,
-    components,
     induced_subgraph,
     is_connected,
     leaf_profile,
@@ -229,18 +228,18 @@ def check_gamma_cer_equals_n_minus_2(g: Graph) -> bool:
     """Predict gamma_cer(g) == n-2 for n >= 3.
 
     True iff exactly one component is a triangle, a four-cycle, or a diadem,
-    and every other component is an isolated vertex or a corona.
+    and every other component is an isolated vertex or a corona.  Mask rule
+    over ``leaf_profile``: a component is one of the latter exactly when
+    each of its non-leaves is a weak support (see ``_corona_base``), so the
+    other non-isolated non-leaves, ``odd``, must all lie in the one special
+    component: its strong support, holding exactly two leaves, or its 3 or 4
+    vertices, each with both its neighbours in ``odd``.
     """
     if g.n < 3:
         raise ValueError("predictor needs n >= 3")
-    special = 0
-    for _, comp in components(g):
-        if comp.n == 1 or recognize_corona(comp) is not None:
-            continue
-        if (comp.n in (3, 4) and is_cycle(comp)) or recognize_diadem(comp) is not None:
-            special += 1
-            if special > 1:
-                return False
-            continue
-        return False
-    return special == 1
+    prof = leaf_profile(g)
+    odd = _mask_of(v for v, row in enumerate(g.adj) if row) & ~prof.leaves & ~prof.weak
+    if odd.bit_count() == 1:
+        return (g.adj[odd.bit_length() - 1] & prof.leaves).bit_count() == 2
+    return odd.bit_count() in (3, 4) and all(
+        g.adj[v].bit_count() == 2 and not g.adj[v] & ~odd for v in _bits(odd))

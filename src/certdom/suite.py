@@ -32,8 +32,6 @@ from .graphs import (
     leaf_profile,
     min_degree,
     parse_graph6_lines,
-    supports_mask,
-    weak_supports,
 )
 from .solver import (
     all_min_dominating_sets,
@@ -275,7 +273,8 @@ def _c_additive(g, cache):
 def _c_supports(g, cache):
     if g.n < 1:
         return _NA
-    supports = supports_mask(g)
+    prof = leaf_profile(g)
+    supports = prof.weak | prof.strong
     if g.n <= 12:
         for mask in range(1 << g.n):
             if supports & ~mask and _certified(g, mask):
@@ -286,7 +285,7 @@ def _c_supports(g, cache):
     # a leaf l, N[l] = {l, s}, so a set without s leaves l undominated when
     # it misses l and half-shadowed when it holds l; V - {l, s} and V - {s}
     # stand for every such set
-    for leaf in _bits(leaf_profile(g).leaves):
+    for leaf in _bits(prof.leaves):
         rest = g.full_mask & ~g.adj[leaf]
         undominated = not g.closed(leaf) & rest & ~(1 << leaf)
         status = classify_vertex(g, VertexSet(g.n, rest), leaf)
@@ -320,7 +319,7 @@ def _c_bound_any(g, cache):
     if g.n < 1:
         return _NA
     got = cache.gamma_cer(g)
-    bound = cache.gamma(g) + len(weak_supports(g))
+    bound = cache.gamma(g) + leaf_profile(g).weak.bit_count()
     return _check(got <= bound, value=got, bound=bound)
 
 
@@ -339,7 +338,7 @@ def _c_bound_double(g, cache):
 
 @_claim("COR4.1", "no weak supports: value equals gamma")
 def _c_eq_no_weak(g, cache):
-    if g.n < 1 or weak_supports(g):
+    if g.n < 1 or leaf_profile(g).weak:
         return _NA
     a, b = cache.gamma_cer(g), cache.gamma(g)
     return _check(a == b, gamma_cer=a, gamma=b)
@@ -555,7 +554,7 @@ def _c_ng_general(g, cache):
 
 @_claim("THM9.2", "min degree >= 1 and no weak supports: a pair with |D| = gamma exists")
 def _c_dd2(g, cache):
-    if g.n < 1 or min_degree(g) < 1 or weak_supports(g):
+    if g.n < 1 or min_degree(g) < 1 or leaf_profile(g).weak:
         return _NA
     pair = find_dd2_pair(g)
     if pair is None:
@@ -726,14 +725,3 @@ def run_suite(
                 summary.aborted = True
                 break
     return summary
-
-
-def ng_pair_set(n: int, cache: SolveCache | None = None) -> set[tuple[int, int]]:
-    """All (sum, product) complement pairs over every labeled graph of order n."""
-    cache = cache if cache is not None else SolveCache()
-    out = set()
-    for g in enumerate_labeled_graphs(n):
-        a = cache.gamma_cer(g)
-        b = cache.gamma_cer(complement(g))
-        out.add((a + b, a * b))
-    return out

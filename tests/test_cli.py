@@ -11,6 +11,8 @@ from certdom import (
     fig3a_graph,
     parse_family_spec,
     path_graph,
+    vertex_effects,
+    wheel_graph,
 )
 from certdom.cli import main
 
@@ -149,6 +151,23 @@ def test_analyze_vertices_addition(capsys, monkeypatch):
     assert code == 0
     obj = json.loads(out)
     assert obj["records"][0]["kind"] == "vertex-add"
+
+
+def test_analyze_vertices_deletion_sweep(capsys, monkeypatch):
+    # without --add-neighbours the report is the one line of every deletion
+    g = wheel_graph(6)
+    code, out, _ = run_cli(
+        capsys, "analyze", "-", "--report", "vertices",
+        stdin=encode_graph6(g) + "\n", monkeypatch=monkeypatch,
+    )
+    assert code == 0
+    want = vertex_effects(g, "all-deletions").to_json_obj()
+    assert out == json.dumps(want) + "\n"
+    assert want["scope"] == "all-deletions"
+    assert [r["kind"] for r in want["records"]] == ["vertex-del"] * 6
+    # without the hub the rim is C5 (value 2); without a rim vertex the hub
+    # stays universal (value 1)
+    assert [r["new_value"] for r in want["records"]] == [2, 1, 1, 1, 1, 1]
 
 
 def test_dd2_none(capsys, monkeypatch):

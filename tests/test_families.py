@@ -20,7 +20,7 @@ from certdom import (
     path_graph,
     wheel_graph,
 )
-from certdom.graphs import Graph, leaf_mask, leaves
+from certdom.graphs import Graph, _bits, leaf_profile
 from certdom.structure import is_path
 
 
@@ -43,7 +43,7 @@ def test_corona_pendant_property():
     # exactly one leaf neighbour
     for base in (cycle_graph(5), path_graph(4), complete_graph(3)):
         g = corona(base, complete_graph(1))
-        lm = leaf_mask(g)
+        lm = leaf_profile(g).leaves
         for v in range(g.n):
             if lm >> v & 1:
                 continue
@@ -55,7 +55,7 @@ def test_diadem_shape():
     g = diadem(cycle_graph(3))
     assert g.n == 2 * 3 + 1
     assert g.degree(0) == 4  # base vertex 0 carries both extra leaves
-    assert sorted(leaves(g)) == [3, 4, 5, 6]
+    assert list(_bits(leaf_profile(g).leaves)) == [3, 4, 5, 6]
 
 
 def test_figure_families_vertex_counts():

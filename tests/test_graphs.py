@@ -12,14 +12,10 @@ from certdom import (
     encode_edge_list,
     encode_graph6,
     induced_subgraph,
-    leaf_of,
-    leaves,
+    leaf_profile,
     parse_edge_list,
     parse_graph6,
     parse_graph6_lines,
-    strong_supports,
-    support_of,
-    weak_supports,
 )
 from certdom.families import (
     complete_bipartite_graph,
@@ -28,7 +24,7 @@ from certdom.families import (
     empty_graph,
     path_graph,
 )
-from certdom.graphs import leaf_profile, supports_mask
+from certdom.graphs import _bits
 
 from conftest import random_graph, relabel
 
@@ -308,39 +304,28 @@ def test_induced_subgraph_examples():
 # ---------------------------------------------------------------------------
 
 def test_leaf_support_vocabulary():
-    p4 = path_graph(4)
-    assert sorted(leaves(p4)) == [0, 3]
-    assert sorted(weak_supports(p4)) == [1, 2]
-    assert not strong_supports(p4)
+    p4 = leaf_profile(path_graph(4))
+    assert list(_bits(p4.leaves)) == [0, 3]
+    assert list(_bits(p4.weak)) == [1, 2]
+    assert not p4.strong
 
-    star = complete_bipartite_graph(1, 3)
-    assert sorted(leaves(star)) == [1, 2, 3]
-    assert list(strong_supports(star)) == [0]
-    assert not weak_supports(star)
+    star = leaf_profile(complete_bipartite_graph(1, 3))
+    assert list(_bits(star.leaves)) == [1, 2, 3]
+    assert list(_bits(star.strong)) == [0]
+    assert not star.weak
 
-    c5 = cycle_graph(5)
-    assert not leaves(c5) and not weak_supports(c5) and not strong_supports(c5)
-
-
-def test_support_leaf_maps():
-    p4 = path_graph(4)
-    assert support_of(p4, 0) == 1
-    assert leaf_of(p4, 2) == 3
-    with pytest.raises(ValueError, match="not a leaf"):
-        support_of(p4, 1)
-    with pytest.raises(ValueError, match="not a weak support"):
-        leaf_of(p4, 0)
+    c5 = leaf_profile(cycle_graph(5))
+    assert not c5.leaves and not c5.weak and not c5.strong
 
 
 def test_supports_disjoint_and_cover_leaves(rng):
     for _ in range(120):
         g = random_graph(rng.randrange(1, 9), 0.3, rng)
-        weak, strong = weak_supports(g), strong_supports(g)
-        assert not weak & strong
-        assert supports_mask(g) == (weak | strong).mask
-        for v in leaves(g):
-            s = support_of(g, v)
-            assert s in weak or s in strong
+        prof = leaf_profile(g)
+        assert not prof.weak & prof.strong
+        for v in _bits(prof.leaves):
+            # a leaf's row is the single bit of its support
+            assert g.adj[v].bit_count() == 1 and g.adj[v] & (prof.weak | prof.strong)
 
 
 def _with_small_parts(g: Graph, k2: bool, isolated: bool) -> Graph:

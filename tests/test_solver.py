@@ -186,12 +186,13 @@ def test_component_additivity_and_stats():
 
 
 def test_certificate_contains_all_supports(rng):
-    from certdom import strong_supports, weak_supports
+    from certdom import leaf_profile
 
     for _ in range(80):
         g = random_graph(rng.randrange(1, 9), 0.25, rng)
         cert = gamma_cer_solve(g).certificate
-        assert (weak_supports(g) | strong_supports(g)).issubset(cert)
+        prof = leaf_profile(g)
+        assert not (prof.weak | prof.strong) & ~cert.mask
 
 
 def test_node_limit_flags_unproven():
@@ -860,7 +861,7 @@ def _eager_greedy_cover(g, out_mask):
 def test_greedy_cover_matches_eager_greedy(rng):
     import random
 
-    from certdom.graphs import leaf_mask
+    from certdom.graphs import leaf_profile
 
     def greedy(g, out_mask):
         return solver._Search(g, False, solver.SolveStats()).greedy_cover(out_mask)
@@ -872,8 +873,9 @@ def test_greedy_cover_matches_eager_greedy(rng):
     tree_rng = random.Random(20261018)
     for n in range(3, 60, 4):
         g = Graph.from_edges(n, [(v, tree_rng.randrange(v)) for v in range(1, n)])
-        got = greedy(g, leaf_mask(g))
-        assert got is not None and got == _eager_greedy_cover(g, leaf_mask(g))
+        leaves = leaf_profile(g).leaves
+        got = greedy(g, leaves)
+        assert got is not None and got == _eager_greedy_cover(g, leaves)
     # the isolated vertex 3 of P3 + K1 cannot be dominated once it is out
     g = Graph.from_edges(4, [(0, 1), (1, 2)])
     assert greedy(g, 0b1100) is None

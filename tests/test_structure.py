@@ -147,11 +147,28 @@ def test_value_n_predictor_examples():
     assert not check_gamma_cer_equals_n(cycle_graph(3))
 
 
+def _plus(g: Graph, h: Graph) -> Graph:
+    return Graph.from_edges(g.n + h.n, g.edges() + [(g.n + u, g.n + v) for u, v in h.edges()])
+
+
 def test_value_n_minus_2_predictor_examples():
-    assert check_gamma_cer_equals_n_minus_2(cycle_graph(4))
-    g = diadem(complete_graph(2)).add_vertex([])  # diadem plus isolated vertex
-    assert check_gamma_cer_equals_n_minus_2(g)
-    assert not check_gamma_cer_equals_n_minus_2(path_graph(4))
+    k1, k3, c4 = complete_graph(1), complete_graph(3), cycle_graph(4)
+    cases = [
+        (c4, True),
+        (diadem(complete_graph(2)).add_vertex([]), True),  # diadem plus isolated vertex
+        (_plus(c4, corona(path_graph(2), k1)), True),
+        (_plus(path_graph(3), k1), True),
+        (diadem(c4), True),
+        (path_graph(4), False),
+        # two special components, or one odd vertex with three leaves
+        (_plus(k3, k3), False),
+        (_plus(k3, c4), False),
+        (_plus(diadem(path_graph(3)), k3), False),
+        (complete_bipartite_graph(1, 3), False),
+    ]
+    for g, want in cases:
+        assert check_gamma_cer_equals_n_minus_2(g) is want, g
+        assert (gamma_cer_oracle(g).value == g.n - 2) is want, g
     with pytest.raises(ValueError):
         check_gamma_cer_equals_n_minus_2(complete_graph(2))
 
@@ -322,6 +339,6 @@ def test_recognizers_build_no_graph(monkeypatch):
     assert complete_bipartite_sides(k34) == (3, 4)
     assert complete_bipartite_sides(matching) is None
     for g in (matching, corona_plus_isolated, diadem_plus_k2, k34):
-        for recognizer in (recognize_corona, recognize_diadem,
-                           check_gamma_cer_equals_n, complete_bipartite_sides):
+        for recognizer in (recognize_corona, recognize_diadem, check_gamma_cer_equals_n,
+                           check_gamma_cer_equals_n_minus_2, complete_bipartite_sides):
             recognizer(g)

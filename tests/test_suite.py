@@ -10,7 +10,6 @@ from certdom.suite import (
     claim_ids,
     enumerate_labeled_graphs,
     evaluate_graph,
-    ng_pair_set,
     run_suite,
 )
 
@@ -150,10 +149,29 @@ def test_run_suite_reports_as_graphs_are_generated(monkeypatch):
     assert got.value.args == (1,)
 
 
-def test_ng_pair_sets_match_small_order_tables():
-    assert ng_pair_set(2) == {(4, 4)}
-    assert ng_pair_set(3) == {(4, 3)}
-    assert ng_pair_set(4) == {(3, 2), (5, 4), (6, 8), (8, 16)}
+def test_capped_solve_cache_drops_stores_and_keeps_the_summary(monkeypatch):
+    import certdom.suite as suite_mod
+
+    class Store(dict):
+        """A store that records its size after every insert."""
+
+        def __init__(self):
+            super().__init__()
+            self.sizes = []
+
+        def __setitem__(self, key, value):
+            super().__setitem__(key, value)
+            self.sizes.append(len(self))
+
+    want = run_suite(SuiteConfig(n_max=4)).to_json_obj()
+    monkeypatch.setattr(suite_mod, "CACHE_MAX_ENTRIES", 40)
+    cache = SolveCache()
+    cache._cer, cache._mds = Store(), Store()
+    assert run_suite(SuiteConfig(n_max=4), cache=cache).to_json_obj() == want
+    for store in (cache._cer, cache._mds):
+        assert max(store.sizes) <= 40
+        # the store was dropped whole at least once: a size fell back to 1
+        assert store.sizes.count(1) >= 2
 
 
 def test_solve_cache_reuses_entries(solves):
