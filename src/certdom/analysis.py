@@ -10,7 +10,7 @@ certificate phase, and its ``proven`` means that the value is proven.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .domination import as_mask, equality_witness

@@ -17,12 +17,12 @@ stable key order; diagnostics go to standard error.  Exit status: 0 success,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
 from .analysis import bound_report, edge_effects, nordhaus_gaddum, vertex_effects
 from .domination import (
-    VertexStatus,
     classify_vertex,
     is_2dominating,
     is_certified_dominating,
@@ -226,6 +226,7 @@ def _cmd_suite(args) -> int:
     return 0 if summary.ok else 1
 
 
+@functools.cache  # built once per process: main runs it on every call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="certdom",

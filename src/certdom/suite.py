@@ -12,14 +12,14 @@ independent of the worker count.
 
 from __future__ import annotations
 
-import multiprocessing
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Callable, Iterable, Iterator, Optional
 
 from .domination import (
-    VertexStatus, _certified, classify_vertex, equality_witness, is_dd2_pair,
+    DD2Pair, VertexStatus, _certified, classify_vertex, equality_witness,
+    is_dd2_pair,
 )
 from .graphs import (
     Graph,
@@ -90,8 +90,10 @@ def enumerate_labeled_graphs(n: int) -> Iterator[Graph]:
 class SolveCache:
     """Memoized solver values keyed by the labeled adjacency.
 
-    Shared by all claims in a run so edge/complement sweeps at a fixed n
-    collapse to dictionary lookups.  Solves use the default ``SolverConfig``;
+    Shared by all claims in a run, so a graph is solved once however many
+    claims read it.  The edge/vertex-addition sweeps test the cached base
+    certificate on each modified graph first and ask the cache only where
+    it fails.  Solves use the default ``SolverConfig``;
     ``CACHE_MAX_ENTRIES`` caps memory.  One certified solve fills the entry
     for ``gamma_cer``, ``gamma_cer_cert`` and ``gamma`` alike.  Unlike the
     ``analysis`` reports it keeps the lex-smallest certificate phase, as
@@ -454,11 +456,19 @@ def _c_edge_add(g, cache):
     if g.n < 2 or not is_connected(g):
         return _NA
     base = cache.gamma_cer(g)
+    # a certified dominating set of G + uv of size <= base proves the bound
+    # there, and the base certificate usually still is one; only the edges
+    # it misses are solved, so a failure reports the exact modified value
+    cert = cache.gamma_cer_cert(g).mask
+    fits = cert.bit_count() <= base
     for u in range(g.n):
         for v in range(u + 1, g.n):
             if g.has_edge(u, v):
                 continue
-            new = cache.gamma_cer(g.add_edge(u, v))
+            h = g.add_edge(u, v)
+            if fits and _certified(h, cert):
+                continue
+            new = cache.gamma_cer(h)
             if new > base:
                 return _fail(edge=[u, v], base=base, modified=new)
     return _OK
@@ -469,9 +479,16 @@ def _c_vertex_add(g, cache):
     if not 2 <= g.n <= 5:
         return _NA
     base = cache.gamma_cer(g)
+    # as THM6.2: the base certificate plus the new vertex, when certified,
+    # proves the bound without a solve
+    cert = cache.gamma_cer_cert(g).mask | 1 << g.n
+    fits = cert.bit_count() <= base + 1
     for k in range(2, g.n + 1):
         for nbrs in combinations(range(g.n), k):
-            new = cache.gamma_cer(g.add_vertex(nbrs))
+            h = g.add_vertex(nbrs)
+            if fits and _certified(h, cert):
+                continue
+            new = cache.gamma_cer(h)
             if new > base + 1:
                 return _fail(neighbours=list(nbrs), base=base, modified=new)
     return _OK
@@ -556,7 +573,12 @@ def _c_ng_general(g, cache):
 def _c_dd2(g, cache):
     if g.n < 1 or min_degree(g) < 1 or leaf_profile(g).weak:
         return _NA
-    pair = find_dd2_pair(g)
+    # the cached certificate is the one find_dd2_pair would solve for; its
+    # own search runs only when that certificate's complement fails
+    d = cache.gamma_cer_cert(g)
+    pair = DD2Pair(d, d.complement())
+    if not is_dd2_pair(g, pair):
+        pair = find_dd2_pair(g)
     if pair is None:
         return _fail(found=False)
     ok = is_dd2_pair(g, pair) and len(pair.d) == cache.gamma(g)
@@ -709,8 +731,11 @@ def run_suite(
     ids = tuple(cfg.claims) if cfg.claims is not None else claim_ids()
     graphs = _suite_graphs(cfg)
     summary = SuiteSummary()
-    pool = None if cfg.jobs == 1 else multiprocessing.Pool(
-        cfg.jobs, initializer=_worker_init, initargs=(ids,))
+    pool = None
+    if cfg.jobs > 1:
+        import multiprocessing  # only a pooled run pays for the import
+
+        pool = multiprocessing.Pool(cfg.jobs, initializer=_worker_init, initargs=(ids,))
     with pool or nullcontext():  # leaving it terminates the workers
         if pool is None:
             local = cache if cache is not None else SolveCache()

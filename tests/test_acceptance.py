@@ -10,8 +10,6 @@ import random
 import time
 from itertools import combinations
 
-import pytest
-
 import certdom as cd
 from certdom.suite import SolveCache, SuiteConfig, enumerate_labeled_graphs, run_suite
 

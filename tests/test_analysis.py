@@ -3,7 +3,6 @@ import json
 import pytest
 
 from certdom import (
-    Graph,
     bound_report,
     complete_bipartite_graph,
     complete_graph,
@@ -16,7 +15,6 @@ from certdom import (
     fig3b_graph,
     fig3b_missing_edge,
     fig4_graph,
-    gamma_cer_oracle,
     nordhaus_gaddum,
     path_graph,
     vertex_effects,

@@ -4,7 +4,6 @@ import pytest
 
 from certdom import (
     DD2Pair,
-    Graph,
     VertexSet,
     VertexStatus,
     classify_vertex,

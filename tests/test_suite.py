@@ -1,8 +1,18 @@
 import json
+from functools import cache
+from itertools import combinations
 
 import pytest
 
-from certdom import complete_graph, cycle_graph, encode_graph6, path_graph
+from certdom import (
+    Graph,
+    complete_graph,
+    cycle_graph,
+    encode_graph6,
+    gamma_cer_oracle,
+    is_connected,
+    path_graph,
+)
 from certdom.suite import (
     SolveCache,
     SuiteConfig,
@@ -222,3 +232,80 @@ def test_supports_claim_holds_fast_on_a_large_tree():
     (outcome,) = evaluate_graph(tree, claims=("OBS3.1",)).to_json_obj()["claims"]
     assert outcome["applicable"] and outcome["holds"]
     assert time.perf_counter() - start < 1.0
+
+
+@cache
+def _oracle(n: int, adj: tuple) -> int:
+    return gamma_cer_oracle(Graph._derived(n, adj)).value
+
+
+def _exact_sweep(g, modified, slack):
+    """THM6.2/THM6.3's outcome from the oracle value of every modification."""
+    base = _oracle(g.n, g.adj)
+    for key, h in modified:
+        new = _oracle(h.n, h.adj)
+        if new > base + slack:
+            return True, False, {**key, "base": base, "modified": new}
+    return True, True, None
+
+
+def _outcome(g, cid, cache=None):
+    (o,) = evaluate_graph(g, (cid,), cache).outcomes
+    return o.applicable, o.holds, o.witness
+
+
+def test_modification_claims_match_an_exact_sweep():
+    # the certificate-first check decides as a solve of every modified graph
+    cache = SolveCache()
+    checked = 0
+    for n in range(2, 6):
+        for g in enumerate_labeled_graphs(n):
+            if not is_connected(g):
+                continue
+            edges = [({"edge": [u, v]}, g.add_edge(u, v))
+                     for u, v in combinations(range(n), 2) if not g.has_edge(u, v)]
+            assert _outcome(g, "THM6.2", cache) == _exact_sweep(g, edges, 0)
+            vertices = [({"neighbours": list(nb)}, g.add_vertex(nb))
+                        for k in range(2, n + 1) for nb in combinations(range(n), k)]
+            assert _outcome(g, "THM6.3", cache) == _exact_sweep(g, vertices, 1)
+            checked += 1
+    assert checked == 1 + 4 + 38 + 728
+
+
+def test_edge_claim_solves_only_where_the_base_certificate_fails(solves):
+    # C6's certificate {0, 3} stays certified under every added edge
+    assert _outcome(cycle_graph(6), "THM6.2") == (True, True, None)
+    assert solves == [(True, True)]
+    solves.clear()
+    # a spider: centre 0 with legs 3, 4 and 1-2.  Its certificate {0, 1, 2}
+    # has the shadowed member 1 (and 2); an edge from either to 3 or 4
+    # leaves it one outside neighbour, so those four edges are solved
+    spider = Graph.from_edges(5, [(0, 1), (0, 3), (0, 4), (1, 2)])
+    cache = SolveCache()
+    assert cache.gamma_cer_cert(spider).to_list() == [0, 1, 2]
+    assert _outcome(spider, "THM6.2", cache) == (True, True, None)
+    assert len(solves) == 1 + 4
+
+
+def test_edge_claim_failure_reports_the_exact_modified_value():
+    # a base value one too low: the base certificate no longer fits the
+    # bound, so the first added edge is solved and reported
+    g = cycle_graph(6)
+
+    class LowBase(SolveCache):
+        def gamma_cer(self, h):
+            return super().gamma_cer(h) - (h == g)
+
+    h = g.add_edge(0, 2)
+    assert _outcome(g, "THM6.2", LowBase()) == (
+        True, False, {"edge": [0, 2], "base": 1, "modified": gamma_cer_oracle(h).value})
+
+
+def test_dd2_claim_reads_the_cached_certificate(solves):
+    # no weak supports and minimum degree >= 1: the optimum certificate's
+    # complement 2-dominates, so the base solve is the only one
+    for g in (cycle_graph(6), complete_graph(4), Graph.from_edges(
+            6, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (5, 3)])):
+        solves.clear()
+        assert _outcome(g, "THM9.2") == (True, True, None)
+        assert solves == [(True, True)]
