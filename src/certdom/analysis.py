@@ -2,7 +2,8 @@
 
 Each report is a dataclass with a ``to_json_obj`` method producing a plain
 dict with stable key order, so reports serialize to line-oriented JSON for
-the CLI.  All values are exact solver outputs; nothing here estimates.
+the CLI.  Every value is exact: a solve, or an upper and a lower bound that
+meet; nothing here estimates.
 No report reads a certificate, so every solve here is value-only
 (``gamma_cer_solve(..., lex_min=False)``): it skips the lex-smallest
 certificate phase, and its ``proven`` means that the value is proven.
@@ -13,9 +14,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .domination import as_mask, equality_witness
+from .domination import _certified, as_mask, equality_witness
 from .graphs import Graph, VertexSet, complement, is_connected, leaf_profile, min_degree
-from .solver import ORACLE_BOUND_DEFAULT, all_min_dominating_sets, gamma_cer_solve
+from .solver import (
+    ORACLE_BOUND_DEFAULT,
+    all_min_dominating_sets,
+    dominates_within,
+    gamma_cer_solve,
+)
 from .structure import recognize_corona
 
 
@@ -169,8 +175,18 @@ def edge_effects(
     connected base graph, every addition carries the monotonicity bound
     new <= base; violations are flagged.  Additions to disconnected graphs
     carry no bound (they can lift the value arbitrarily).
+
+    The sweep is certificate-first: when the base graph has gamma = gamma_cer
+    and its certificate D stays certified in the modified graph, D bounds
+    the new value from above by the base value and domination bounds it
+    from below (gamma(G - e) >= gamma(G); for G + uv, two first-hit
+    queries refute a dominating set below gamma(G) holding one of u, v);
+    every other pair runs one value-only solve.
     """
-    base = gamma_cer_solve(g, lex_min=False).value
+    res = gamma_cer_solve(g, lex_min=False)
+    base = res.value
+    cert = res.certificate.mask
+    tight = res.gamma == base
     connected = is_connected(g)
     if isinstance(scope, tuple):
         u, v = scope
@@ -194,12 +210,24 @@ def edge_effects(
     records = []
     for u, v in pairs:
         if g.has_edge(u, v):
-            new = gamma_cer_solve(g.remove_edge(u, v), lex_min=False).value
+            h = g.remove_edge(u, v)
+            # gamma(G) <= gamma(h) <= gamma_cer(h) <= |D|
+            settled = tight and _certified(h, cert)
+            new = base if settled else gamma_cer_solve(h, lex_min=False).value
             records.append(
                 ModificationRecord("edge-del", (u, v), new, new - base)
             )
         else:
-            new = gamma_cer_solve(g.add_edge(u, v), lex_min=False).value
+            h = g.add_edge(u, v)
+            # gamma_cer(h) <= |D|; a dominating set of h below gamma(G)
+            # holds exactly one of u and v, and the queries refute both
+            settled = (
+                tight
+                and _certified(h, cert)
+                and not dominates_within(h, base - 1, u, v)
+                and not dominates_within(h, base - 1, v, u)
+            )
+            new = base if settled else gamma_cer_solve(h, lex_min=False).value
             records.append(
                 ModificationRecord(
                     "edge-add",

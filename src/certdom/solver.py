@@ -537,9 +537,9 @@ class _Search:
     # -- phase 2: lexicographically smallest optimum -------------------------
 
     def _any_within(self, size: int, in_mask: int, out_mask: int, covered: int,
-                    moved: int) -> bool:
+                    moved: int | None) -> bool:
         """First-hit search for a set of at most ``size`` within the pins, a
-        fixpoint plus ``moved``."""
+        fixpoint plus ``moved`` (None: pins of unknown origin)."""
         self.best_val = size + 1
         self.first_hit = True
         try:
@@ -745,6 +745,16 @@ def gamma_solve(g: Graph, cfg: SolverConfig | None = None) -> SolveResult:
     """Exact domination number with a deterministic certificate."""
     cfg = cfg or SolverConfig()
     return _checked(g, _combine_components(g, cfg, False, True), _dominates)
+
+
+def dominates_within(g: Graph, size: int, take: int, skip: int) -> bool:
+    """True iff some dominating set of at most ``size`` vertices holds
+    ``take`` and not ``skip``: one exact first-hit domination search, with
+    no node limit."""
+    if size < 1 or take == skip:
+        return False
+    search = _Search(g, False, SolveStats())
+    return search._any_within(size, 1 << take, 1 << skip, search.closed[take], None)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 import json
+import random
 
 import pytest
 
 from certdom import (
+    Graph,
     bound_report,
     complete_bipartite_graph,
     complete_graph,
@@ -15,12 +17,18 @@ from certdom import (
     fig3b_graph,
     fig3b_missing_edge,
     fig4_graph,
+    gamma_cer_oracle,
+    gamma_cer_solve,
+    is_connected,
     nordhaus_gaddum,
     path_graph,
     vertex_effects,
     wheel_graph,
 )
+from certdom.analysis import ModificationRecord, ModificationReport
 from certdom.suite import enumerate_labeled_graphs
+
+from conftest import random_graph
 
 
 def test_bound_report_c7(solves):
@@ -148,6 +156,130 @@ def test_edge_effects_rejects_bad_edge():
         edge_effects(path_graph(3), (0, 0))
     with pytest.raises(ValueError):
         edge_effects(path_graph(3), "sideways")
+
+
+def _sweep(g, scope, value):
+    """The edge report with ``value`` run on every modified graph, base
+    included."""
+    base = value(g)
+    connected = is_connected(g)
+    if isinstance(scope, tuple):
+        pairs, name = [tuple(sorted(scope))], "single"
+    elif scope == "all-deletions":
+        pairs, name = g.edges(), scope
+    else:
+        pairs = [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if not g.has_edge(u, v)]
+        name = scope
+    records = []
+    for u, v in pairs:
+        if g.has_edge(u, v):
+            new = value(g.remove_edge(u, v))
+            records.append(ModificationRecord("edge-del", (u, v), new, new - base))
+        else:
+            new = value(g.add_edge(u, v))
+            records.append(ModificationRecord(
+                "edge-add", (u, v), new, new - base, bound_applicable=connected,
+                bound_holds=new <= base if connected else None))
+    return ModificationReport(name, base, tuple(records))
+
+
+@pytest.fixture
+def edge_solves(monkeypatch):
+    """Counts the solves edge_effects runs; the base solve is one of them."""
+    from certdom import analysis
+
+    seen = []
+    solve = analysis.gamma_cer_solve
+
+    def counted(h, *args, **kwargs):
+        seen.append(h)
+        return solve(h, *args, **kwargs)
+
+    monkeypatch.setattr(analysis, "gamma_cer_solve", counted)
+    return seen
+
+
+def test_edge_effects_match_an_oracle_sweep_up_to_order_5():
+    # every labeled graph, connected or not, every scope
+    def oracle(h):
+        return gamma_cer_oracle(h).value
+
+    for n in range(6):
+        for g in enumerate_labeled_graphs(n):
+            records = {}
+            for scope in ("all-deletions", "all-additions"):
+                want = _sweep(g, scope, oracle)
+                assert edge_effects(g, scope) == want, (g.edges(), scope)
+                records.update((r.detail, r) for r in want.records)
+            for (u, v), rec in records.items():
+                single = ModificationReport("single", want.base_value, (rec,))
+                assert edge_effects(g, (u, v)) == edge_effects(g, (v, u)) == single
+
+
+def test_edge_effects_match_a_solve_sweep_on_connected_gnp():
+    def solve(h):
+        return gamma_cer_solve(h, lex_min=False).value
+
+    rng = random.Random(25)
+    for n in range(12, 17):
+        g = random_graph(n, 0.25, rng)
+        while not is_connected(g):
+            g = random_graph(n, 0.25, rng)
+        for scope in ("all-deletions", "all-additions"):
+            assert edge_effects(g, scope) == _sweep(g, scope, solve), (n, scope)
+
+
+def test_edge_effects_settle_most_pairs_of_a_gnp_without_a_solve(edge_solves):
+    g = random_graph(16, 0.25, random.Random(1))
+    assert is_connected(g)
+    pairs = 16 * 15 // 2
+    edge_effects(g, "all-deletions")
+    edge_effects(g, "all-additions")
+    assert len(edge_solves) < pairs // 4  # 11 of 120: two base solves and 9 pairs
+
+
+def test_edge_effects_solve_every_pair_when_gamma_is_below_gamma_cer(edge_solves):
+    g = path_graph(4)
+    res = gamma_cer_solve(g, lex_min=False)
+    assert res.gamma < res.value
+    for scope in ("all-deletions", "all-additions"):
+        del edge_solves[:]
+        rep = edge_effects(g, scope)
+        assert len(edge_solves) == 1 + len(rep.records)
+
+
+def test_edge_effects_solve_an_addition_that_uncertifies_the_base_set(edge_solves):
+    # K1 + C4: the isolated vertex 0 is a member of D with no outside
+    # neighbour; joined to an outside vertex it has exactly one
+    g = Graph.from_edges(5, [(1, 2), (2, 3), (3, 4), (4, 1)])
+    d = gamma_cer_solve(g, lex_min=False).certificate.mask
+    assert d & 1 and not g.adj[0]
+    y = next(v for v in range(1, 5) if not d >> v & 1)
+    rep = edge_effects(g, (0, y))
+    assert len(edge_solves) == 2
+    assert rep.records[0].new_value == gamma_cer_oracle(g.add_edge(0, y)).value == 2
+
+
+def test_edge_effects_solve_an_addition_that_lowers_gamma(edge_solves, monkeypatch):
+    # K_{1,3} + K1: D = {centre, isolated vertex} stays certified once the
+    # two are joined, but the star K_{1,4} has gamma 1, which a query finds
+    from certdom import analysis
+
+    queries = []
+    query = analysis.dominates_within
+
+    def recorded(*args):
+        queries.append(query(*args))
+        return queries[-1]
+
+    monkeypatch.setattr(analysis, "dominates_within", recorded)
+    g = Graph.from_edges(5, [(0, 1), (0, 2), (0, 3)])
+    rep = edge_effects(g, (0, 4))
+    assert rep.base_value == 2
+    assert queries == [True]
+    assert len(edge_solves) == 2
+    (rec,) = rep.records
+    assert (rec.new_value, rec.delta) == (1, -1)
 
 
 def test_vertex_effects_wheel_hub_deletion():

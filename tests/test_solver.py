@@ -882,6 +882,22 @@ def test_greedy_cover_matches_eager_greedy(rng):
     assert _eager_greedy_cover(g, 0b1100) is None
 
 
+def test_dominates_within_matches_the_subset_enumeration():
+    # for every (take, skip) pair and every size 0..n: is there a dominating
+    # set of at most that size holding take and not skip?
+    for n in range(1, 6):
+        for g in enumerate_labeled_graphs(n):
+            masks = [m for k in range(n + 1) for m in solver._dominating_masks(g, k)]
+            for take in range(n):
+                for skip in range(n):
+                    fits = [m.bit_count() for m in masks
+                            if m >> take & 1 and not m >> skip & 1]
+                    least = min(fits, default=n + 1)
+                    for size in range(n + 1):
+                        assert solver.dominates_within(g, size, take, skip) == (least <= size), (
+                            g.edges(), size, take, skip)
+
+
 # ---------------------------------------------------------------------------
 # Minimum dominating set enumeration
 # ---------------------------------------------------------------------------
