@@ -14,14 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .domination import _certified, as_mask, equality_witness
+from .domination import _certified, as_mask
 from .graphs import Graph, VertexSet, complement, is_connected, leaf_profile, min_degree
-from .solver import (
-    ORACLE_BOUND_DEFAULT,
-    all_min_dominating_sets,
-    dominates_within,
-    gamma_cer_solve,
-)
+from .solver import dominates_within, equality_witness_search, gamma_cer_solve
 from .structure import recognize_corona
 
 
@@ -43,11 +38,11 @@ class BoundCheck:
 class BoundReport:
     """Upper bounds on the certified domination number plus the equality test.
 
-    ``equality_witness`` is a leaf-free minimum dominating set leaving, for
-    every weak support, at least one non-leaf neighbour outside the set; such
-    a witness exists iff the domination and certified domination numbers
-    agree.  The witness search enumerates every minimum dominating set and is
-    skipped (with ``witness_searched`` False) above the oracle size bound.
+    ``equality_witness`` is the lex-smallest leaf-free minimum dominating
+    set leaving, for every weak support, at least one non-leaf neighbour
+    outside the set; such a witness exists iff the domination and certified
+    domination numbers agree.  ``solver.equality_witness_search`` finds it at
+    any order, so the JSON key ``witness_searched`` is always true.
     """
 
     n: int
@@ -59,7 +54,6 @@ class BoundReport:
     bounds: tuple[BoundCheck, ...]
     equality_holds: bool
     equality_witness: Optional[VertexSet]
-    witness_searched: bool
 
     def to_json_obj(self) -> dict:
         return {
@@ -78,7 +72,7 @@ class BoundReport:
                     if self.equality_witness is None
                     else self.equality_witness.to_list()
                 ),
-                "witness_searched": self.witness_searched,
+                "witness_searched": True,
             },
         }
 
@@ -99,12 +93,7 @@ def bound_report(g: Graph) -> BoundReport:
         BoundCheck("gamma_plus_weak_supports", gamma_cer, gamma + s1),
         BoundCheck("twice_gamma", gamma_cer, 2 * gamma),
     )
-    witness = None
-    searched = g.n <= ORACLE_BOUND_DEFAULT
-    if searched:
-        mins = all_min_dominating_sets(g, gamma=gamma)
-        mask = equality_witness(g, (d.mask for d in mins))
-        witness = None if mask is None else VertexSet(g.n, mask)
+    mask = equality_witness_search(g, gamma)
     return BoundReport(
         n=g.n,
         gamma=gamma,
@@ -114,8 +103,7 @@ def bound_report(g: Graph) -> BoundReport:
         strong_support_leaf_count=k,
         bounds=bounds,
         equality_holds=gamma_cer == gamma,
-        equality_witness=witness,
-        witness_searched=searched,
+        equality_witness=None if mask is None else VertexSet(g.n, mask),
     )
 
 

@@ -98,10 +98,6 @@ class VertexSet:
     def complement(self) -> "VertexSet":
         return VertexSet(self.n, ~self.mask & ((1 << self.n) - 1))
 
-    def issubset(self, other: "VertexSet") -> bool:
-        self._check(other)
-        return self.mask & ~other.mask == 0
-
     def to_list(self) -> list[int]:
         return list(self)
 

@@ -63,23 +63,26 @@ Two independent routes are provided:
   U, and leaves at least (num - load_v) / L, rounded up, to add: need - 1
   or more when num - load_v > (need - 2) L.  A vertex covering t of U has
   load at least t times the least weight, so only those below the count at
-  which that reaches the margin are summed.  Certified sets dominate, so
-  the pins hold in the certified search too, where they also take every
-  allowed vertex that dominates none of U: the domination search has no use
-  for those, the certified rules do.  The pins go to propagation and the
-  bound runs again at the same node before it branches.  The argument
-  covers every completion below need under the node's pins, at zero gap
-  (every first-hit query of the certificate phase) as in the value search,
-  so it composes with the dominated candidates, which are drawn after it:
-  a keeper is a candidate, so trading a dropped candidate for it keeps a
-  set clear of every fixed vertex.
+  which that reaches the margin are summed.  Every set searched dominates,
+  so the pins hold in every search; one that watches (below) also pins
+  every allowed vertex that dominates none of U: the domination search has
+  no use for those, the certified rules do.  The pins go to propagation
+  and the bound runs again at the same node before it branches.  The
+  argument covers every completion below need under the node's pins, at
+  zero gap (every first-hit query of the certificate phase) as in the
+  value search, so it composes with the dominated candidates, which are
+  drawn after it: a keeper is a candidate, so trading a dropped candidate
+  for it keeps a set clear of every fixed vertex.
 
-  Apart from those two rules the domination and certified searches differ
-  only in propagation's certified rules.  Only connected components are
-  solved apart: a node whose undominated vertices fall into parts sharing
-  no allowed dominator is not split (Akiba & Iwata 2016): with the
-  certificate phase's pins such nodes are rare, and looking for them costs
-  more than splitting saves.
+  Otherwise the searches differ only in ``watch``, the mask of chosen
+  vertices that propagation's certified rules check: every vertex in the
+  certified search, none in the domination search, and the weak supports
+  in ``equality_witness_search``, the paper's COR4.4 witness.  Their trade
+  keeps no watched rule, so dominated candidates need an empty mask.  Only
+  connected components are solved apart: a node whose undominated vertices
+  fall into parts sharing no allowed dominator is not split (Akiba & Iwata
+  2016): with the certificate phase's pins such nodes are rare, and looking
+  for them costs more than splitting saves.
 
 Certificates are deterministic: among all optimal sets the lexicographically
 smallest (by sorted vertex list) is returned, found by self-reduction.  Each
@@ -249,24 +252,24 @@ def _sweep_weights(top: int) -> tuple[int, ...]:
 class _Search:
     """In/out decision search over one graph's vertices, on raw bitmasks.
     One search serves every phase of a component; the certified solve turns
-    ``certified`` on after the value phase.  Nodes and prunes are counted on
-    the solve's ``stats``, and the node past ``limit`` raises _NodeLimit.
-    Both branch largest share of U first; they differ in ``_propagate``'s
-    certified rules, in ``_descend_best``'s dominated candidates, dropped
-    only when not certified, and in ``_pack_bound``'s pins, which take
-    vertices that dominate none of U only when certified."""
+    ``watch``, the chosen vertices whose certified rules ``_propagate``
+    checks, from none to all after the value phase.  Nodes and prunes are
+    counted on the solve's ``stats``, and the node past ``limit`` raises
+    _NodeLimit.  Every search branches largest share of U first; with no
+    ``watch``, ``_descend_best`` drops dominated candidates, and with one,
+    ``_pack_bound``'s pins take vertices that dominate none of U too."""
 
     __slots__ = (
-        "adj", "closed", "full", "certified", "stats", "limit",
+        "adj", "closed", "full", "watch", "stats", "limit",
         "best_val", "best_mask", "first_hit", "branch", "pins",
     )
 
-    def __init__(self, g: Graph, certified: bool, stats: SolveStats,
+    def __init__(self, g: Graph, watch: int, stats: SolveStats,
                  limit: int | None = None):
         self.adj = g.adj
         self.closed = tuple(g.adj[v] | 1 << v for v in range(g.n))
         self.full = g.full_mask
-        self.certified = certified
+        self.watch = watch
         self.stats = stats
         self.limit = limit
 
@@ -295,7 +298,7 @@ class _Search:
         decided-out) or in (none decided-out).
 
         One worklist drives both: undominated vertices wait for the plain
-        rule, chosen ones (certified search only) for the certified rules.
+        rule, chosen ones in ``watch`` for the certified rules.
         A move in re-queues the vertex and its chosen neighbours, a move out
         its chosen neighbours and its undominated closed neighbours; nothing
         else can change a verdict.  Each rule is a unit rule on one
@@ -308,14 +311,14 @@ class _Search:
         """
         adj = self.adj
         closed = self.closed
-        certified = self.certified
+        watch = self.watch
         if moved is None:
             plain = self.full ^ covered
-            chosen = in_mask if certified else 0
+            chosen = in_mask & watch
         else:
             near = self._cover(moved)
             plain = near & ~covered if moved & out_mask else 0
-            chosen = near & in_mask if certified else 0
+            chosen = near & in_mask & watch
         while True:
             while plain:
                 low = plain & -plain
@@ -329,8 +332,8 @@ class _Search:
                     row = closed[cand.bit_length() - 1]
                     covered |= row
                     plain &= ~row
-                    if certified:
-                        chosen |= row & in_mask
+                    if watch:
+                        chosen |= row & in_mask & watch
             if not chosen:
                 return in_mask, out_mask, covered
             low = chosen & -chosen
@@ -349,12 +352,12 @@ class _Search:
                 out_mask |= b_mask
                 row = closed[b_mask.bit_length() - 1]
                 plain = row & ~covered
-                chosen |= row & in_mask
+                chosen |= row & in_mask & watch
             elif b_mask:
                 in_mask |= b_mask
                 row = closed[b_mask.bit_length() - 1]
                 covered |= row
-                chosen |= row & in_mask
+                chosen |= row & in_mask & watch
 
     def _pack_bound(self, out_mask: int, covered: int, need: int) -> int:
         """Lower bound on the vertices still needed to dominate the
@@ -374,7 +377,7 @@ class _Search:
         completion of fewer than ``need`` vertices holds, by either dual
         (reduced-cost fixing; the module docstring says why), and to 0 when
         the bound falls short by more than one.  It may hold vertices
-        already in; outside certified mode it holds only dominators of U."""
+        already in; with no ``watch`` it holds only dominators of U."""
         closed = self.closed
         allowed = self.full ^ out_mask
         undom = self.full ^ covered
@@ -432,10 +435,10 @@ class _Search:
         # to cover, at least ceil((num - load_v) / whole) vertices more
         pins = 0
         if count == need - 1:
-            pins = (allowed if self.certified else holders) & ~used
+            pins = (allowed if self.watch else holders) & ~used
         thr = num - (need - 2) * whole
         if thr > 0:
-            if self.certified:
+            if self.watch:
                 pins |= allowed & ~holders
             parts.reverse()  # heaviest weights first, to pass thr soonest
             # a holder covering t of U has load at least t * weights[top]
@@ -473,7 +476,7 @@ class _Search:
                       moved: int | None = None) -> None:
         """Branch on the allowed dominators of one undominated vertex, the
         largest share of U first (the lower index on a tie), less the
-        dominated ones outside certified mode, improving
+        dominated ones when nothing is watched, improving
         ``best_val``/``best_mask`` (raising _Hit on the first improvement in
         first-hit mode); ``moved`` is passed to _propagate."""
         stats = self.stats
@@ -518,7 +521,7 @@ class _Search:
             rows.append((-row.bit_count(), low, row))
         rows.sort()  # largest share of U first, the lower index on a tie
         excl = 0
-        if not self.certified:
+        if not self.watch:
             # drop each candidate whose share of U another one covers, the
             # lower index kept on a tie; the module docstring says why
             for _, v, rv in rows:
@@ -645,7 +648,7 @@ def _component(
     seeds ``search.lex_first`` under the pins.
     """
     prof = leaf_profile(g)
-    search = _Search(g, False, stats, cfg.node_limit)
+    search = _Search(g, 0, stats, cfg.node_limit)
     forbid = prof.leaves if g.n >= 3 else 0
     greedy = search.greedy_cover(forbid)
     gamma = None
@@ -663,7 +666,7 @@ def _component(
             if d0.bit_count() != gamma:
                 raise AssertionError("the witness shrank under the lex pins; solver bug")
         return search, gamma, d0, (0, prof.strong_leaves | lex_out), gamma
-    search.certified = True
+    search.watch = search.full
     pins = prof.weak | prof.strong
     stats.forced_vertices += pins.bit_count()
     # with nothing out, the certified rules only bring in the lone outside
@@ -753,8 +756,21 @@ def dominates_within(g: Graph, size: int, take: int, skip: int) -> bool:
     no node limit."""
     if size < 1 or take == skip:
         return False
-    search = _Search(g, False, SolveStats())
+    search = _Search(g, 0, SolveStats())
     return search._any_within(size, 1 << take, 1 << skip, search.closed[take], None)
+
+
+def equality_witness_search(g: Graph, gamma: int) -> int | None:
+    """``domination.equality_witness`` over the gamma-sets, at any order: the
+    lex-smallest leaf-free one leaving every weak support a non-leaf
+    neighbour outside, as a mask, or None.  With the leaves pinned out each
+    weak support is in and its leaf out, so that is the certified rule
+    watching the weak supports: a first-hit search, then ``lex_first``."""
+    prof = leaf_profile(g)
+    search = _Search(g, prof.weak, SolveStats())
+    if not search._any_within(gamma, 0, prof.leaves, 0, None):
+        return None
+    return search.lex_first(gamma, 0, prof.leaves, search.best_mask)
 
 
 # ---------------------------------------------------------------------------

@@ -457,16 +457,16 @@ def _c_edge_add(g, cache):
         return _NA
     base = cache.gamma_cer(g)
     # a certified dominating set of G + uv of size <= base proves the bound
-    # there, and the base certificate usually still is one; only the edges
-    # it misses are solved, so a failure reports the exact modified value
+    # there, and the base certificate (base vertices, as the solve checks)
+    # usually still is one; only the edges it misses are solved, so a
+    # failure reports the exact modified value
     cert = cache.gamma_cer_cert(g).mask
-    fits = cert.bit_count() <= base
     for u in range(g.n):
         for v in range(u + 1, g.n):
             if g.has_edge(u, v):
                 continue
             h = g.add_edge(u, v)
-            if fits and _certified(h, cert):
+            if _certified(h, cert):
                 continue
             new = cache.gamma_cer(h)
             if new > base:
@@ -482,11 +482,10 @@ def _c_vertex_add(g, cache):
     # as THM6.2: the base certificate plus the new vertex, when certified,
     # proves the bound without a solve
     cert = cache.gamma_cer_cert(g).mask | 1 << g.n
-    fits = cert.bit_count() <= base + 1
     for k in range(2, g.n + 1):
         for nbrs in combinations(range(g.n), k):
             h = g.add_vertex(nbrs)
-            if fits and _certified(h, cert):
+            if _certified(h, cert):
                 continue
             new = cache.gamma_cer(h)
             if new > base + 1:

@@ -20,15 +20,17 @@ from certdom import (
     gamma_cer_oracle,
     gamma_cer_solve,
     is_connected,
+    is_dominating,
     nordhaus_gaddum,
     path_graph,
     vertex_effects,
     wheel_graph,
 )
 from certdom.analysis import ModificationRecord, ModificationReport
+from certdom.domination import equality_witness
 from certdom.suite import enumerate_labeled_graphs
 
-from conftest import random_graph
+from conftest import random_graph, seeded_gnp_40
 
 
 def test_bound_report_c7(solves):
@@ -40,8 +42,9 @@ def test_bound_report_c7(solves):
 
 
 def test_reports_never_run_the_lex_certificate_phase(monkeypatch):
-    # no report reads a certificate, so none runs the lex-smallest tie
-    # break; the reports are unchanged without it
+    # no report reads a certificate, so no solve of a report runs the
+    # lex-smallest tie break; the reports are the same as with it (the
+    # bounds report's witness search runs lex_first outside any solve)
     from certdom import solver
 
     def reports(g):
@@ -54,27 +57,35 @@ def test_reports_never_run_the_lex_certificate_phase(monkeypatch):
             nordhaus_gaddum(g),
         )]
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("lex_first called by a report")
+    combine = solver._combine_components
+
+    def always_lex_min(g, cfg, certified, lex_min):
+        return combine(g, cfg, certified, True)
+
+    def value_only(g, cfg, certified, lex_min):
+        if lex_min:
+            raise AssertionError("a lex-min solve run by a report")
+        return combine(g, cfg, certified, lex_min)
 
     graphs = [fig3a_graph(2), wheel_graph(8), corona(path_graph(3), complete_graph(2))]
+    monkeypatch.setattr(solver, "_combine_components", always_lex_min)
     expected = [reports(g) for g in graphs]
-    monkeypatch.setattr(solver._Search, "lex_first", refuse)
+    monkeypatch.setattr(solver, "_combine_components", value_only)
     assert [reports(g) for g in graphs] == expected
 
 
 def test_bound_report_reuses_the_solved_gamma(monkeypatch):
-    # the witness search lists the gamma-sets at the gamma the solve proved,
-    # without a subset-enumeration search for gamma
+    # the witness search runs at the gamma the solve proved, and neither
+    # looks for gamma nor lists the gamma-sets by subset enumeration
     from certdom import solver
 
     def refuse(*args, **kwargs):
-        raise AssertionError("gamma_oracle called by bound_report")
+        raise AssertionError("subset enumeration called by bound_report")
 
-    monkeypatch.setattr(solver, "gamma_oracle", refuse)
+    monkeypatch.setattr(solver, "_dominating_masks", refuse)
     r = bound_report(path_graph(20))
     assert (r.gamma, r.gamma_cer) == (7, 7)
-    assert r.witness_searched and r.equality_witness is not None
+    assert r.equality_witness is not None
 
 
 def test_bound_report_p4_is_tight():
@@ -85,7 +96,6 @@ def test_bound_report_p4_is_tight():
     assert by_name["gamma_plus_weak_supports"].rhs == 4  # tight
     assert by_name["twice_gamma"].rhs == 4  # tight
     assert not r.equality_holds and r.equality_witness is None
-    assert r.witness_searched
 
 
 def test_bound_report_star():
@@ -95,18 +105,28 @@ def test_bound_report_star():
     assert {b.name: b.rhs for b in r.bounds}["strong_leaf_trim"] == 5 - 4
 
 
-def test_bound_report_skips_witness_search_above_the_size_bound():
+def test_bound_report_searches_the_witness_above_order_20():
+    # past the subset enumeration's bound the witness comes from the search
     r = bound_report(path_graph(25))
-    assert not r.witness_searched and r.equality_witness is None
     assert r.gamma == r.gamma_cer == 9
     assert all(b.holds for b in r.bounds)
+    assert r.equality_witness.to_list() == [1, 3, 5, 8, 11, 14, 17, 20, 23]
+    assert r.to_json_obj()["equality_gamma"]["witness_searched"] is True
+    r = bound_report(corona(path_graph(11), complete_graph(1)))
+    assert (r.gamma, r.gamma_cer) == (11, 22)
+    assert r.equality_witness is None
+    g = seeded_gnp_40()
+    r = bound_report(g)
+    w = r.equality_witness.mask
+    assert r.equality_holds and w.bit_count() == r.gamma
+    assert is_dominating(g, r.equality_witness)
+    assert equality_witness(g, [w]) == w
 
 
 def test_bound_report_witness_exists_exactly_at_equality_up_to_order_5():
     for n in range(6):
         for g in enumerate_labeled_graphs(n):
             r = bound_report(g)
-            assert r.witness_searched
             assert (r.equality_witness is not None) == (r.gamma == r.gamma_cer), g
 
 
@@ -115,6 +135,7 @@ def test_bound_report_serializes_with_stable_keys():
     text = json.dumps(obj)
     assert text.index('"gamma"') < text.index('"gamma_cer"')
     assert obj["equality_gamma"]["witness"] is None
+    assert obj["equality_gamma"]["witness_searched"] is True
 
 
 def test_edge_effects_fig3a_marked_deletion():

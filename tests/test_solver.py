@@ -236,7 +236,7 @@ def test_both_solves_on_a_dense_gnp_stay_small():
 
 
 def _search(g, certified):
-    return solver._Search(g, certified, solver.SolveStats())
+    return solver._Search(g, g.full_mask if certified else 0, solver.SolveStats())
 
 
 def test_fractional_bound_beats_the_greedy_packing_on_c7():
@@ -864,7 +864,7 @@ def test_greedy_cover_matches_eager_greedy(rng):
     from certdom.graphs import leaf_profile
 
     def greedy(g, out_mask):
-        return solver._Search(g, False, solver.SolveStats()).greedy_cover(out_mask)
+        return solver._Search(g, 0, solver.SolveStats()).greedy_cover(out_mask)
 
     for _ in range(300):
         g = random_graph(rng.randrange(0, 11), rng.random(), rng)
@@ -896,6 +896,25 @@ def test_dominates_within_matches_the_subset_enumeration():
                     for size in range(n + 1):
                         assert solver.dominates_within(g, size, take, skip) == (least <= size), (
                             g.edges(), size, take, skip)
+
+
+def test_equality_witness_search_matches_the_enumeration():
+    # the first gamma-set, in lexicographic order, that equality_witness
+    # accepts: one watched search stands in for the subset enumeration
+    from certdom.domination import equality_witness
+
+    def check(g, gamma):
+        mins = all_min_dominating_sets(g, gamma=gamma)
+        want = equality_witness(g, (d.mask for d in mins))
+        assert solver.equality_witness_search(g, gamma) == want, g.edges()
+
+    for n in range(7):
+        for g in enumerate_labeled_graphs(n):
+            check(g, len(all_min_dominating_sets(g)[0]))
+    rng = random.Random("witness")
+    for _ in range(300):
+        g = random_graph(rng.randrange(7, 21), rng.choice((0.1, 0.2, 0.3, 0.5)), rng)
+        check(g, gamma_solve(g).value)
 
 
 # ---------------------------------------------------------------------------

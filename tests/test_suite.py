@@ -6,6 +6,7 @@ import pytest
 
 from certdom import (
     Graph,
+    VertexSet,
     complete_graph,
     cycle_graph,
     encode_graph6,
@@ -288,13 +289,18 @@ def test_edge_claim_solves_only_where_the_base_certificate_fails(solves):
 
 
 def test_edge_claim_failure_reports_the_exact_modified_value():
-    # a base value one too low: the base certificate no longer fits the
-    # bound, so the first added edge is solved and reported
+    # a base value one too low, and a base certificate of that size (the
+    # optimum less its lowest vertex): no modified graph certifies it, so
+    # the first added edge is solved and reported
     g = cycle_graph(6)
 
     class LowBase(SolveCache):
         def gamma_cer(self, h):
             return super().gamma_cer(h) - (h == g)
+
+        def gamma_cer_cert(self, h):
+            mask = super().gamma_cer_cert(h).mask
+            return VertexSet(h.n, mask & (mask - 1) if h == g else mask)
 
     h = g.add_edge(0, 2)
     assert _outcome(g, "THM6.2", LowBase()) == (
