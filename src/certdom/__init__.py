@@ -29,9 +29,7 @@ from .domination import (
     is_minimal_dominating,
 )
 from .families import (
-    FamilySpec,
     FamilySpecError,
-    build_family,
     complete_bipartite_graph,
     complete_graph,
     corona,

@@ -16,7 +16,7 @@ from typing import Iterable, Optional
 
 from .domination import _certified, as_mask
 from .graphs import Graph, VertexSet, complement, is_connected, leaf_profile, min_degree
-from .solver import dominates_within, equality_witness_search, gamma_cer_solve
+from .solver import addition_dominates_within, equality_witness_search, gamma_cer_solve
 from .structure import recognize_corona
 
 
@@ -168,8 +168,8 @@ def edge_effects(
     and its certificate D stays certified in the modified graph, D bounds
     the new value from above by the base value and domination bounds it
     from below (gamma(G - e) >= gamma(G); for G + uv, two first-hit
-    queries refute a dominating set below gamma(G) holding one of u, v);
-    every other pair runs one value-only solve.
+    queries on G refute a dominating set below gamma(G) holding one of u,
+    v); every other pair runs one value-only solve.
     """
     res = gamma_cer_solve(g, lex_min=False)
     base = res.value
@@ -195,6 +195,7 @@ def edge_effects(
         scope_name = scope
     else:
         raise ValueError(f"unknown scope {scope!r}")
+    below = addition_dominates_within(g, base - 1)
     records = []
     for u, v in pairs:
         if g.has_edge(u, v):
@@ -209,12 +210,7 @@ def edge_effects(
             h = g.add_edge(u, v)
             # gamma_cer(h) <= |D|; a dominating set of h below gamma(G)
             # holds exactly one of u and v, and the queries refute both
-            settled = (
-                tight
-                and _certified(h, cert)
-                and not dominates_within(h, base - 1, u, v)
-                and not dominates_within(h, base - 1, v, u)
-            )
+            settled = tight and _certified(h, cert) and not below(u, v)
             new = base if settled else gamma_cer_solve(h, lex_min=False).value
             records.append(
                 ModificationRecord(

@@ -7,11 +7,12 @@ Subcommands: ``solve`` (exact values with certificates), ``verify``
 exhaustive claim suite).
 
 Graphs are read from a file argument or standard input ("-").  A line whose
-characters all fall in the graph6 alphabet is treated as graph6; text
-starting with an ``n <count>`` header as an edge list; ``--format`` settles
-any ambiguity.  Reports go to standard output as line-delimited JSON with
-stable key order; diagnostics go to standard error.  Exit status: 0 success,
-1 claim failure in the suite, 2 usage or input errors.
+characters all fall in the graph6 alphabet, after an optional ``>>graph6<<``
+header, is treated as graph6; text starting with an ``n <count>`` header as
+an edge list; ``--format`` settles any ambiguity.  Reports go to standard
+output as line-delimited JSON with stable key order; diagnostics go to
+standard error.  Exit status: 0 success, 1 claim failure in the suite, 2
+usage or input errors.
 """
 
 from __future__ import annotations
@@ -28,12 +29,14 @@ from .domination import (
     is_certified_dominating,
     is_dominating,
 )
-from .families import FamilySpecError, build_family, parse_family_spec
+from .families import FamilySpecError, parse_family_spec
 from .graphs import (
+    _G6_HEADER,
     _G6_MAX,
     _G6_MIN,
     Graph,
     GraphParseError,
+    VertexSet,
     encode_edge_list,
     encode_graph6,
     parse_edge_list,
@@ -64,7 +67,7 @@ def _parse_graph(text: str, fmt: str | None) -> Graph:
     if fmt is None:
         if first.startswith("n ") or first == "n":
             fmt = "edgelist"
-        elif all(_G6_MIN <= ord(ch) <= _G6_MAX for ch in first):
+        elif all(_G6_MIN <= ord(ch) <= _G6_MAX for ch in first.removeprefix(_G6_HEADER)):
             fmt = "graph6"
         else:
             raise GraphParseError(
@@ -130,7 +133,7 @@ def _cmd_solve(args) -> int:
 def _cmd_verify(args) -> int:
     g = _load_graph(args)
     vertices = _parse_vertex_list(args.set)
-    d = g.vertex_set(vertices)
+    d = VertexSet.of(g.n, vertices)
     predicate = {
         "dominating": is_dominating,
         "certified": is_certified_dominating,
@@ -154,7 +157,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_family(args) -> int:
-    g = build_family(parse_family_spec(args.spec))
+    g = parse_family_spec(args.spec)
     if args.emit == "edgelist":
         sys.stdout.write(encode_edge_list(g))
     else:

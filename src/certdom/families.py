@@ -1,10 +1,12 @@
-"""Parametric graph family generators and their symbolic descriptions.
+"""Parametric graph families and the textual specs that name them.
 
 Beyond the textbook families (paths, cycles, complete and complete bipartite
 graphs, wheels), this module builds corona products, diadem graphs, and the
 four pendant-path families used as regression fixtures by the analysis and
-acceptance layers.  All layouts are pinned so certificates and golden tests
-are reproducible:
+acceptance layers.  ``parse_family_spec`` turns a spec such as ``"wheel 8"``
+or ``"corona (cycle 5) (complete 1)"`` into its graph; this is the
+``certdom family`` command.  All layouts are pinned so certificates and
+golden tests are reproducible:
 
 * ``wheel_graph``: hub is vertex 0, rim is the cycle 1..n-1.
 * ``corona``: base vertices keep their indices; copy i of the fringe graph
@@ -19,46 +21,13 @@ are reproducible:
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable
 
 from .graphs import Graph
 
 
 class FamilySpecError(ValueError):
-    """Raised for unknown family names or out-of-range parameters."""
-
-
-SpecArg = Union[int, "FamilySpec", Graph]
-
-
-@dataclass(frozen=True)
-class FamilySpec:
-    """Symbolic description of a parametric family instance.
-
-    ``args`` holds ints for the numeric families; for corona and diadem the
-    arguments may be nested FamilySpec instances or explicit graphs.
-    """
-
-    kind: str
-    args: tuple[SpecArg, ...]
-
-    def __post_init__(self) -> None:
-        if self.kind not in _FAMILIES:
-            raise FamilySpecError(f"unknown family kind {self.kind!r}")
-        params = _FAMILIES[self.kind][1]
-        if len(self.args) != len(params):
-            raise FamilySpecError(
-                f"{self.kind} takes {len(params)} argument(s), got {len(self.args)}"
-            )
-        for a, param in zip(self.args, params):
-            if param is Graph:
-                if not isinstance(a, (FamilySpec, Graph)):
-                    raise FamilySpecError(
-                        f"{self.kind} arguments must be family specs or graphs"
-                    )
-            elif not isinstance(a, int):
-                raise FamilySpecError(f"{self.kind} arguments must be integers")
+    """Raised for malformed family specs and out-of-range parameters."""
 
 
 def path_graph(n: int) -> Graph:
@@ -201,8 +170,8 @@ def fig4_graph(i: int) -> Graph:
     return Graph.from_edges(1 + 2 * i, edges)
 
 
-# kind -> (builder, the type of each argument); a Graph argument may also be
-# given as a FamilySpec, written in a textual spec as "(SPEC)"
+# kind -> (builder, the type of each argument); a Graph argument is written
+# in a textual spec as a parenthesized spec, "(SPEC)"
 _FAMILIES: dict[str, tuple[Callable[..., Graph], tuple[type, ...]]] = {
     "path": (path_graph, (int,)),
     "cycle": (cycle_graph, (int,)),
@@ -217,12 +186,6 @@ _FAMILIES: dict[str, tuple[Callable[..., Graph], tuple[type, ...]]] = {
     "fig3b": (fig3b_graph, (int,)),
     "fig4": (fig4_graph, (int,)),
 }
-
-
-def build_family(spec: FamilySpec) -> Graph:
-    """Materialize a FamilySpec into a graph, validating parameter ranges."""
-    builder = _FAMILIES[spec.kind][0]
-    return builder(*(build_family(a) if isinstance(a, FamilySpec) else a for a in spec.args))
 
 
 # ---------------------------------------------------------------------------
@@ -247,12 +210,15 @@ def _tokenize(text: str) -> list[str]:
     return tokens
 
 
-def parse_family_spec(text: str) -> FamilySpec:
-    """Parse specs like ``"wheel 8"`` or ``"corona (cycle 5) (complete 1)"``."""
+def parse_family_spec(text: str) -> Graph:
+    """The graph of a spec like ``"wheel 8"`` or ``"corona (cycle 5) (complete 1)"``.
+
+    The whole text is read into ``(kind, args)`` tuples before any graph is
+    built, so a syntax error is reported ahead of a parameter out of range."""
     tokens = _tokenize(text)
     pos = 0
 
-    def parse_spec() -> FamilySpec:
+    def parse_spec() -> tuple:
         nonlocal pos
         if pos >= len(tokens) or tokens[pos] in "()":
             raise FamilySpecError("expected a family name")
@@ -260,7 +226,7 @@ def parse_family_spec(text: str) -> FamilySpec:
         pos += 1
         if kind not in _FAMILIES:
             raise FamilySpecError(f"unknown family kind {kind!r}")
-        args: list[SpecArg] = []
+        args: list = []
         for param in _FAMILIES[kind][1]:
             if param is Graph:
                 if pos >= len(tokens) or tokens[pos] != "(":
@@ -275,9 +241,13 @@ def parse_family_spec(text: str) -> FamilySpec:
                     raise FamilySpecError(f"{kind} expects integer arguments")
                 args.append(int(tokens[pos]))
                 pos += 1
-        return FamilySpec(kind, tuple(args))
+        return kind, args
+
+    def build(spec: tuple) -> Graph:
+        kind, args = spec
+        return _FAMILIES[kind][0](*(build(a) if isinstance(a, tuple) else a for a in args))
 
     spec = parse_spec()
     if pos != len(tokens):
         raise FamilySpecError(f"trailing tokens after family spec: {tokens[pos:]}")
-    return spec
+    return build(spec)

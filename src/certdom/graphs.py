@@ -42,8 +42,6 @@ class VertexSet:
     """A set of vertices of an n-vertex graph, stored as a bitmask.
 
     Instances are tied to a vertex count so that complement is well defined.
-    Set algebra via ``|``, ``&`` and ``-`` requires both operands to share
-    the same ``n``.
     """
 
     n: int
@@ -63,10 +61,6 @@ class VertexSet:
                 raise ValueError(f"vertex {v} out of range [0, {n})")
         return cls(n, _mask_of(vs))
 
-    @classmethod
-    def full(cls, n: int) -> "VertexSet":
-        return cls(n, (1 << n) - 1)
-
     def __contains__(self, v: int) -> bool:
         return 0 <= v < self.n and bool(self.mask >> v & 1)
 
@@ -75,25 +69,6 @@ class VertexSet:
 
     def __len__(self) -> int:
         return self.mask.bit_count()
-
-    def __bool__(self) -> bool:
-        return self.mask != 0
-
-    def _check(self, other: "VertexSet") -> None:
-        if self.n != other.n:
-            raise ValueError("vertex sets belong to different graphs")
-
-    def __or__(self, other: "VertexSet") -> "VertexSet":
-        self._check(other)
-        return VertexSet(self.n, self.mask | other.mask)
-
-    def __and__(self, other: "VertexSet") -> "VertexSet":
-        self._check(other)
-        return VertexSet(self.n, self.mask & other.mask)
-
-    def __sub__(self, other: "VertexSet") -> "VertexSet":
-        self._check(other)
-        return VertexSet(self.n, self.mask & ~other.mask)
 
     def complement(self) -> "VertexSet":
         return VertexSet(self.n, ~self.mask & ((1 << self.n) - 1))
@@ -172,10 +147,6 @@ class Graph:
     def full_mask(self) -> int:
         return self._full
 
-    def degree(self, v: int) -> int:
-        self._check_vertices(v)
-        return self.adj[v].bit_count()
-
     def degrees(self) -> list[int]:
         return [row.bit_count() for row in self.adj]
 
@@ -183,10 +154,6 @@ class Graph:
         """Closed-neighbourhood bitmask N[v]."""
         self._check_vertices(v)
         return self.adj[v] | (1 << v)
-
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        self._check_vertices(v)
-        return tuple(_bits(self.adj[v]))
 
     def has_edge(self, u: int, v: int) -> bool:
         # the range test inline, as callers probe every vertex pair
@@ -201,13 +168,6 @@ class Graph:
             for off in _bits(row):
                 out.append((u, u + 1 + off))
         return out
-
-    @property
-    def edge_count(self) -> int:
-        return sum(self.degrees()) // 2
-
-    def vertex_set(self, vertices: Iterable[int]) -> VertexSet:
-        return VertexSet.of(self.n, vertices)
 
     def _check_vertices(self, *vs: int) -> None:
         for v in vs:

@@ -112,7 +112,7 @@ from functools import cache
 from heapq import heapify, heappop, heapreplace
 from itertools import combinations
 from math import lcm
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .domination import DD2Pair, _certified, _dominates, is_2dominating
 from .graphs import Graph, VertexSet, _bits, _mask_of, components, leaf_profile, min_degree
@@ -215,17 +215,16 @@ def gamma_cer_oracle(g: Graph) -> SolveResult:
     return _oracle(g, certified=True)
 
 
-def all_min_dominating_sets(g: Graph, *, gamma: int | None = None) -> list[VertexSet]:
+def all_min_dominating_sets(g: Graph) -> list[VertexSet]:
     """Every minimum dominating set, in lexicographic order: the whole first
-    size that has a dominating set, or only size ``gamma`` when it is known."""
+    size that has a dominating set."""
     if g.n > ORACLE_BOUND_DEFAULT:
         raise SizeLimitError(f"enumeration refuses n={g.n} > bound {ORACLE_BOUND_DEFAULT}")
-    sets: list[VertexSet] = []
-    for k in range(g.n + 1) if gamma is None else (gamma,):
+    for k in range(g.n + 1):
         sets = [VertexSet(g.n, mask) for mask in _dominating_masks(g, k)]
         if sets:
-            break
-    return sets
+            return sets
+    raise AssertionError("unreachable: the full vertex set always dominates")
 
 
 # ---------------------------------------------------------------------------
@@ -750,14 +749,20 @@ def gamma_solve(g: Graph, cfg: SolverConfig | None = None) -> SolveResult:
     return _checked(g, _combine_components(g, cfg, False, True), _dominates)
 
 
-def dominates_within(g: Graph, size: int, take: int, skip: int) -> bool:
-    """True iff some dominating set of at most ``size`` vertices holds
-    ``take`` and not ``skip``: one exact first-hit domination search, with
-    no node limit."""
-    if size < 1 or take == skip:
-        return False
+def addition_dominates_within(g: Graph, size: int) -> Callable[[int, int], bool]:
+    """A predicate on the non-edges uv of g: True iff G + uv has a dominating
+    set of at most ``size`` vertices holding exactly one of u and v.  Each
+    orientation, a in and b out, is one exact first-hit search on g, with no
+    node limit, and all of them share one search.  G + ab differs from g in
+    rows a and b only: row a gains b, which the query counts as covered, and
+    row b is never read, since b is out."""
     search = _Search(g, 0, SolveStats())
-    return search._any_within(size, 1 << take, 1 << skip, search.closed[take], None)
+    closed = search.closed
+
+    def one_in(a: int, b: int) -> bool:
+        return search._any_within(size, 1 << a, 1 << b, closed[a] | 1 << b, None)
+
+    return lambda u, v: one_in(u, v) or one_in(v, u)
 
 
 def equality_witness_search(g: Graph, gamma: int) -> int | None:

@@ -59,7 +59,8 @@ def test_criterion_2_figure_fixtures():
         assert cd.find_dd2_pair(g, i + 3) is None, f"fig1 {i} small pair"
         # the known pair: head middle plus both path ends of every branch
         d = [1] + [3 + 4 * k for k in range(i)] + [5 + 4 * k for k in range(i)]
-        pair = cd.DD2Pair(g.vertex_set(d), g.vertex_set(d).complement())
+        ds = cd.VertexSet.of(g.n, d)
+        pair = cd.DD2Pair(ds, ds.complement())
         assert len(pair.d) == 2 * i + 1
         assert cd.is_dd2_pair(g, pair), f"fig1 {i} known pair"
     for i in range(1, 5):

@@ -287,13 +287,18 @@ def test_edge_effects_solve_an_addition_that_lowers_gamma(edge_solves, monkeypat
     from certdom import analysis
 
     queries = []
-    query = analysis.dominates_within
+    make = analysis.addition_dominates_within
 
-    def recorded(*args):
-        queries.append(query(*args))
-        return queries[-1]
+    def recorded(g, size):
+        below = make(g, size)
 
-    monkeypatch.setattr(analysis, "dominates_within", recorded)
+        def query(u, v):
+            queries.append(below(u, v))
+            return queries[-1]
+
+        return query
+
+    monkeypatch.setattr(analysis, "addition_dominates_within", recorded)
     g = Graph.from_edges(5, [(0, 1), (0, 2), (0, 3)])
     rep = edge_effects(g, (0, 4))
     assert rep.base_value == 2

@@ -5,7 +5,6 @@ import pytest
 
 from certdom import (
     Graph,
-    build_family,
     encode_edge_list,
     encode_graph6,
     fig3a_graph,
@@ -42,6 +41,14 @@ def test_solve_graph6_stdin(capsys, monkeypatch):
     obj = json.loads(out)
     assert obj["value"] == 2 and obj["certificate"] == [0, 1]
     assert obj["param"] == "gamma-cer" and obj["proven"]
+
+
+def test_solve_reads_a_graph6_record_after_the_header(capsys, monkeypatch):
+    # auto-detection skips the optional >>graph6<< header, as --format graph6 does
+    bare = run_cli(capsys, "solve", "-", stdin="DQc\n", monkeypatch=monkeypatch)
+    headed = run_cli(capsys, "solve", "-", stdin=">>graph6<<DQc\n", monkeypatch=monkeypatch)
+    assert bare[0] == 0 and bare[1].startswith("value: 2\n")
+    assert headed == bare
 
 
 def test_solve_edge_list_file(tmp_path, capsys):
@@ -104,7 +111,7 @@ def test_analyze_bounds(capsys, monkeypatch):
 
 @pytest.mark.parametrize("spec,want", _BOUNDS_GOLDEN, ids=[s for s, _ in _BOUNDS_GOLDEN])
 def test_analyze_bounds_golden(capsys, monkeypatch, spec, want):
-    g6 = encode_graph6(build_family(parse_family_spec(spec)))
+    g6 = encode_graph6(parse_family_spec(spec))
     code, out, _ = run_cli(
         capsys, "analyze", "-", "--report", "bounds",
         stdin=g6 + "\n", monkeypatch=monkeypatch,
@@ -320,7 +327,7 @@ def _pinned_input(name):
         return encode_edge_list(seeded_gnp_40())
     if name == "forest":
         return encode_edge_list(_seeded_forest())
-    return encode_edge_list(build_family(parse_family_spec(name)))
+    return encode_edge_list(parse_family_spec(name))
 
 
 @pytest.mark.parametrize("name,extra,param,want", _PINNED_SOLVES,

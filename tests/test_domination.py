@@ -27,7 +27,7 @@ def test_is_dominating_examples():
     p3 = path_graph(3)
     assert is_dominating(p3, [1])
     assert not is_dominating(p3, [0])
-    assert is_dominating(p3, VertexSet.full(3))
+    assert is_dominating(p3, VertexSet(3, p3.full_mask))
 
 
 def test_empty_graph_edge_cases():

@@ -1,9 +1,8 @@
 import pytest
 
 from certdom import (
-    FamilySpec,
     FamilySpecError,
-    build_family,
+    complete_bipartite_graph,
     complete_graph,
     corona,
     cycle_graph,
@@ -20,7 +19,7 @@ from certdom import (
     path_graph,
     wheel_graph,
 )
-from certdom.graphs import Graph, _bits, leaf_profile
+from certdom.graphs import _bits, leaf_profile
 from certdom.structure import is_path
 
 
@@ -54,7 +53,7 @@ def test_diadem_shape():
     assert is_path(diadem(complete_graph(1)))  # smallest diadem is a 3-path
     g = diadem(cycle_graph(3))
     assert g.n == 2 * 3 + 1
-    assert g.degree(0) == 4  # base vertex 0 carries both extra leaves
+    assert g.degrees()[0] == 4  # base vertex 0 carries both extra leaves
     assert list(_bits(leaf_profile(g).leaves)) == [3, 4, 5, 6]
 
 
@@ -73,7 +72,7 @@ def test_fig3_layouts():
     assert a.has_edge(u, v)
     b = fig3b_graph(2)
     assert not is_connected(b)
-    assert b.degree(3) == 0
+    assert b.degrees()[3] == 0
     x, y = fig3b_missing_edge()
     assert not b.has_edge(x, y)
     assert is_connected(b.add_edge(x, y))
@@ -87,8 +86,7 @@ def test_fig4_smallest_is_3path():
 
 def test_wheel_layout():
     w = wheel_graph(6)
-    assert w.degree(0) == 5
-    assert all(w.degree(v) == 3 for v in range(1, 6))
+    assert w.degrees() == [5, 3, 3, 3, 3, 3]
     assert wheel_graph(4) == complete_graph(4)
 
 
@@ -98,19 +96,10 @@ def test_family_parameter_validation():
         lambda: wheel_graph(3),
         lambda: path_graph(0),
         lambda: fig1_graph(0),
-        lambda: build_family(FamilySpec("complete-bipartite", (3, 2))),
+        lambda: parse_family_spec("complete-bipartite 3 2"),
     ):
         with pytest.raises(FamilySpecError):
             bad()
-
-
-def test_family_spec_kind_checks():
-    with pytest.raises(FamilySpecError, match="unknown family"):
-        FamilySpec("torus", (3,))
-    with pytest.raises(FamilySpecError, match="argument"):
-        FamilySpec("path", (1, 2))
-    with pytest.raises(FamilySpecError, match="family specs or graphs"):
-        FamilySpec("diadem", (3,))
 
 
 def test_parse_family_spec_round_trips():
@@ -118,9 +107,7 @@ def test_parse_family_spec_round_trips():
         "path 7": path_graph(7),
         "cycle 5": cycle_graph(5),
         "complete 4": complete_graph(4),
-        "complete-bipartite 2 3": build_family(
-            FamilySpec("complete-bipartite", (2, 3))
-        ),
+        "complete-bipartite 2 3": complete_bipartite_graph(2, 3),
         "wheel 8": wheel_graph(8),
         "empty 3": empty_graph(3),
         "fig3a 2": fig3a_graph(2),
@@ -131,7 +118,7 @@ def test_parse_family_spec_round_trips():
         ),
     }
     for text, want in cases.items():
-        assert build_family(parse_family_spec(text)) == want
+        assert parse_family_spec(text) == want
 
 
 def test_parse_family_spec_errors():
@@ -141,7 +128,14 @@ def test_parse_family_spec_errors():
             parse_family_spec(bad)
 
 
-def test_build_family_accepts_explicit_graphs():
-    base = Graph.from_edges(5, [(0, 1), (1, 2), (0, 2), (3, 4)])
-    g = build_family(FamilySpec("diadem", (base,)))
-    assert g.n == 11
+def test_parse_family_spec_reads_the_whole_text_before_building():
+    # each spec has a syntax fault and a parameter out of range: the syntax
+    # fault is the one reported
+    for text, message in (
+        ("cycle 2 4", r"trailing tokens after family spec: \['4'\]"),
+        ("corona (cycle 2) (frob 1)", "unknown family kind 'frob'"),
+    ):
+        with pytest.raises(FamilySpecError, match=message):
+            parse_family_spec(text)
+    with pytest.raises(FamilySpecError, match="cycle needs n >= 3"):
+        parse_family_spec("corona (cycle 2) (complete 1)")

@@ -56,8 +56,7 @@ def test_graph_rejects_out_of_range_bits():
 def test_graph_edges_round_trip():
     g = Graph.from_edges(5, [(0, 1), (2, 4), (1, 3)])
     assert g.edges() == [(0, 1), (1, 3), (2, 4)]
-    assert g.edge_count == 3
-    assert g.degree(1) == 2
+    assert g.degrees() == [1, 2, 1, 1, 1]
     assert g.has_edge(4, 2) and not g.has_edge(0, 4)
 
 
@@ -101,29 +100,22 @@ def test_queries_reject_out_of_range_vertices():
     queries = [
         (lambda: g.has_edge(-1, 1), -1), (lambda: g.has_edge(5, 0), 5),
         (lambda: g.has_edge(0, 5), 5), (lambda: g.has_edge(0, -2), -2),
-        (lambda: g.degree(-1), -1), (lambda: g.degree(3), 3),
-        (lambda: g.neighbors(7), 7), (lambda: g.neighbors(-1), -1),
         (lambda: g.closed(-1), -1), (lambda: g.closed(3), 3),
     ]
     for query, v in queries:
         with pytest.raises(ValueError, match=rf"^vertex {v} out of range \[0, 3\)$"):
             query()
     assert g.has_edge(0, 1) and not g.has_edge(0, 2)
-    assert g.degree(1) == 2 and g.neighbors(1) == (0, 2) and g.closed(0) == 0b011
+    assert g.closed(0) == 0b011 and g.closed(1) == 0b111
 
 
 def test_vertex_set_algebra():
     a = VertexSet.of(5, [0, 2])
-    b = VertexSet.of(5, [2, 4])
-    assert sorted(a | b) == [0, 2, 4]
-    assert list(a & b) == [2]
-    assert list(a - b) == [0]
     assert sorted(a.complement()) == [1, 3, 4]
     assert len(a) == 2 and 2 in a and 1 not in a
+    assert a and not VertexSet(5, 0)
     with pytest.raises(ValueError):
         VertexSet.of(3, [3])
-    with pytest.raises(ValueError):
-        a | VertexSet.of(4, [0])
 
 
 # ---------------------------------------------------------------------------
@@ -232,17 +224,17 @@ def test_components_partition(rng):
     for _ in range(80):
         g = random_graph(rng.randrange(0, 9), 0.25, rng)
         parts = components(g)
-        seen = VertexSet(g.n, 0)
+        seen = 0
         for vs, comp in parts:
             assert comp.n == len(vs)
-            assert not seen & vs
-            seen = seen | vs
+            assert not seen & vs.mask
+            seen |= vs.mask
             order = vs.to_list()
             for u, v in comp.edges():
                 assert g.has_edge(order[u], order[v])
-        assert len(seen) == g.n
-        total_edges = sum(comp.edge_count for _, comp in parts)
-        assert total_edges == g.edge_count  # no edges between parts
+        assert seen == g.full_mask
+        total_edges = sum(len(comp.edges()) for _, comp in parts)
+        assert total_edges == len(g.edges())  # no edges between parts
 
 
 def test_derived_graphs_equal_validated_rebuild(rng):
@@ -271,7 +263,7 @@ def test_components_memoized_and_connected_graph_is_its_own_part():
     assert sys.getrefcount(c6) == refs
     assert components(c6)[0][0] is components(c6)[0][0]
     (vs, comp), = components(c6)
-    assert vs == VertexSet.full(6) and comp is c6
+    assert vs == VertexSet(6, c6.full_mask) and comp is c6
     two = Graph.from_edges(4, [(0, 1), (2, 3)])
     assert components(two) is components(two)
     assert components(empty_graph(0)) == ()

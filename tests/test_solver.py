@@ -68,6 +68,8 @@ def test_oracle_certificates_pass_their_predicates(rng):
 def test_oracle_refuses_large_graphs():
     with pytest.raises(SizeLimitError):
         gamma_oracle(empty_graph(21))
+    with pytest.raises(SizeLimitError):
+        all_min_dominating_sets(empty_graph(21))
 
 
 def test_oracle_trivial_graphs():
@@ -105,7 +107,6 @@ def test_references_match_the_definitions_over_every_raw_mask():
         assert gamma_cer_oracle(g).certificate.mask == cer, g
         want = [m for m in dom if bin(m).count("1") == gamma]
         assert [d.mask for d in all_min_dominating_sets(g)] == want, g
-        assert [d.mask for d in all_min_dominating_sets(g, gamma=gamma)] == want, g
 
 
 # ---------------------------------------------------------------------------
@@ -882,20 +883,19 @@ def test_greedy_cover_matches_eager_greedy(rng):
     assert _eager_greedy_cover(g, 0b1100) is None
 
 
-def test_dominates_within_matches_the_subset_enumeration():
-    # for every (take, skip) pair and every size 0..n: is there a dominating
-    # set of at most that size holding take and not skip?
-    for n in range(1, 6):
+def test_addition_dominates_within_matches_the_subset_enumeration():
+    # for every non-edge uv and every size 0..n: has G + uv a dominating set
+    # of at most that size holding exactly one of u and v?
+    for n in range(2, 6):
         for g in enumerate_labeled_graphs(n):
-            masks = [m for k in range(n + 1) for m in solver._dominating_masks(g, k)]
-            for take in range(n):
-                for skip in range(n):
-                    fits = [m.bit_count() for m in masks
-                            if m >> take & 1 and not m >> skip & 1]
-                    least = min(fits, default=n + 1)
-                    for size in range(n + 1):
-                        assert solver.dominates_within(g, size, take, skip) == (least <= size), (
-                            g.edges(), size, take, skip)
+            non_edges = [(u, v) for u in range(n) for v in range(u + 1, n)
+                         if not g.has_edge(u, v)]
+            for size in range(n + 1):
+                below = solver.addition_dominates_within(g, size)
+                for u, v in non_edges:
+                    want = any((m >> u ^ m >> v) & 1 for k in range(size + 1)
+                               for m in solver._dominating_masks(g.add_edge(u, v), k))
+                    assert below(u, v) == want, (g.edges(), size, u, v)
 
 
 def test_equality_witness_search_matches_the_enumeration():
@@ -903,18 +903,17 @@ def test_equality_witness_search_matches_the_enumeration():
     # accepts: one watched search stands in for the subset enumeration
     from certdom.domination import equality_witness
 
-    def check(g, gamma):
-        mins = all_min_dominating_sets(g, gamma=gamma)
+    def check(g):
+        mins = all_min_dominating_sets(g)  # the first size with a set is gamma
         want = equality_witness(g, (d.mask for d in mins))
-        assert solver.equality_witness_search(g, gamma) == want, g.edges()
+        assert solver.equality_witness_search(g, len(mins[0])) == want, g.edges()
 
     for n in range(7):
         for g in enumerate_labeled_graphs(n):
-            check(g, len(all_min_dominating_sets(g)[0]))
+            check(g)
     rng = random.Random("witness")
     for _ in range(300):
-        g = random_graph(rng.randrange(7, 21), rng.choice((0.1, 0.2, 0.3, 0.5)), rng)
-        check(g, gamma_solve(g).value)
+        check(random_graph(rng.randrange(7, 21), rng.choice((0.1, 0.2, 0.3, 0.5)), rng))
 
 
 # ---------------------------------------------------------------------------
@@ -937,21 +936,6 @@ def test_all_min_dominating_sets_lex_order(rng):
         sets = [d.to_list() for d in all_min_dominating_sets(g)]
         assert sets == sorted(sets)
         assert all(is_dominating(g, d) for d in sets)
-
-
-def test_all_min_dominating_sets_with_known_gamma_runs_no_oracle(rng, monkeypatch):
-    graphs = [random_graph(rng.randrange(1, 8), 0.4, rng) for _ in range(20)]
-    expected = [all_min_dominating_sets(g) for g in graphs]
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("gamma_oracle called although gamma was given")
-
-    monkeypatch.setattr(solver, "gamma_oracle", refuse)
-    for g, sets in zip(graphs, expected):
-        assert all_min_dominating_sets(g, gamma=len(sets[0])) == sets
-    monkeypatch.undo()
-    with pytest.raises(SizeLimitError):
-        all_min_dominating_sets(path_graph(21), gamma=7)
 
 
 # ---------------------------------------------------------------------------

@@ -33,11 +33,11 @@ def test_enumeration_counts():
 
 def test_enumeration_order_is_lexicographic_in_the_edge_mask():
     gs = list(enumerate_labeled_graphs(3))
-    assert gs[0].edge_count == 0
+    assert gs[0].edges() == []
     assert gs[1].edges() == [(0, 1)]
     assert gs[2].edges() == [(0, 2)]
     assert gs[3].edges() == [(0, 1), (0, 2)]
-    assert gs[7].edge_count == 3
+    assert len(gs[7].edges()) == 3
 
 
 def test_enumeration_cap():
