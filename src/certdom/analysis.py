@@ -7,6 +7,11 @@ meet; nothing here estimates.
 No report reads a certificate, so every solve here is value-only
 (``gamma_cer_solve(..., lex_min=False)``): it skips the lex-smallest
 certificate phase, and its ``proven`` means that the value is proven.
+The edge sweep builds and solves a modified graph only where the base
+solve cannot settle it: whether the base certificate survives an edge
+change is read off the two changed rows of the base graph, and one
+first-hit query per vertex refutes, for all its added edges at once, a
+smaller dominating set through the new edge.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .domination import _certified, as_mask
+from .domination import _stays_certified, as_mask
 from .graphs import Graph, VertexSet, complement, is_connected, leaf_profile, min_degree
 from .solver import addition_dominates_within, equality_witness_search, gamma_cer_solve
 from .structure import recognize_corona
@@ -167,9 +172,15 @@ def edge_effects(
     The sweep is certificate-first: when the base graph has gamma = gamma_cer
     and its certificate D stays certified in the modified graph, D bounds
     the new value from above by the base value and domination bounds it
-    from below (gamma(G - e) >= gamma(G); for G + uv, two first-hit
-    queries on G refute a dominating set below gamma(G) holding one of u,
-    v); every other pair runs one value-only solve.
+    from below; every other pair runs one value-only solve, and only those
+    pairs build their modified graph.  Whether D stays certified is read
+    off rows u and v of G (``domination._stays_certified``).  The lower
+    bound is gamma(G - e) >= gamma(G) for a deletion.  For an addition, a
+    dominating set of G + uv below gamma(G) holds exactly one endpoint;
+    with a in it and b out, it dominates V - b in G, so one first-hit
+    query per vertex b on G refutes every added edge at b at once
+    (``solver.addition_dominates_within``), and a pair query runs only
+    where b's query finds a set without a.
     """
     res = gamma_cer_solve(g, lex_min=False)
     base = res.value
@@ -199,19 +210,19 @@ def edge_effects(
     records = []
     for u, v in pairs:
         if g.has_edge(u, v):
-            h = g.remove_edge(u, v)
-            # gamma(G) <= gamma(h) <= gamma_cer(h) <= |D|
-            settled = tight and _certified(h, cert)
-            new = base if settled else gamma_cer_solve(h, lex_min=False).value
+            # gamma(G) <= gamma(G - uv) <= gamma_cer(G - uv) <= |D|
+            settled = tight and _stays_certified(g, cert, u, v)
+            new = (base if settled
+                   else gamma_cer_solve(g.remove_edge(u, v), lex_min=False).value)
             records.append(
                 ModificationRecord("edge-del", (u, v), new, new - base)
             )
         else:
-            h = g.add_edge(u, v)
-            # gamma_cer(h) <= |D|; a dominating set of h below gamma(G)
-            # holds exactly one of u and v, and the queries refute both
-            settled = tight and _certified(h, cert) and not below(u, v)
-            new = base if settled else gamma_cer_solve(h, lex_min=False).value
+            # gamma_cer(G + uv) <= |D|; a dominating set of G + uv below
+            # gamma(G) holds exactly one of u and v, and the queries refute it
+            settled = tight and _stays_certified(g, cert, u, v) and not below(u, v)
+            new = (base if settled
+                   else gamma_cer_solve(g.add_edge(u, v), lex_min=False).value)
             records.append(
                 ModificationRecord(
                     "edge-add",

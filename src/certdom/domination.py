@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Iterable, Sequence, Union
 
 from .graphs import Graph, VertexSet, _bits, leaf_profile
 
@@ -41,21 +41,46 @@ def as_mask(g: Graph, s: SetLike) -> int:
     return VertexSet.of(g.n, s).mask
 
 
-def _dominates(g: Graph, mask: int) -> bool:
+def _dominates(g: Graph, mask: int, adj: Sequence[int] | None = None) -> bool:
+    """``adj``, when given, stands in for g's rows (same order)."""
+    adj = g.adj if adj is None else adj
     cover = mask
     for v in _bits(mask):
-        cover |= g.adj[v]
+        cover |= adj[v]
     return cover == g.full_mask
 
 
-def _certified(g: Graph, mask: int) -> bool:
-    if not _dominates(g, mask):
+def _certified(g: Graph, mask: int, adj: Sequence[int] | None = None) -> bool:
+    """The definition, on g's rows or on ``adj`` standing in for them."""
+    adj = g.adj if adj is None else adj
+    if not _dominates(g, mask, adj):
         return False
     for v in _bits(mask):
-        outside = g.adj[v] & ~mask
+        outside = adj[v] & ~mask
         if outside and not outside & (outside - 1):
             return False
     return True
+
+
+def _stays_certified(g: Graph, mask: int, u: int, v: int) -> bool:
+    """For ``mask`` certified in g: is it still certified once the edge uv
+    is toggled (added when absent, deleted when present)?
+
+    Only rows u and v change, so only a member among u and v can change its
+    outside count and only an outsider among them its dominators; with both
+    endpoints on one side nothing changes.  Say a is in and b out.  An
+    added ab lifts a's outside count by one, so it breaks the set only when
+    a had no outside neighbour.  A deleted ab breaks it when a was b's only
+    neighbour in the set, or when a had exactly two outside neighbours and
+    keeps one (being certified, it had at least two)."""
+    if (mask >> u ^ mask >> v) & 1 == 0:
+        return True
+    a, b = (u, v) if mask >> u & 1 else (v, u)
+    outside = g.adj[a] & ~mask
+    if not outside >> b & 1:  # ab is absent: adding it
+        return outside != 0
+    rest = outside ^ 1 << b
+    return g.adj[b] & mask != 1 << a and rest & (rest - 1) != 0
 
 
 def is_dominating(g: Graph, d: SetLike) -> bool:

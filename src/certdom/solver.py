@@ -751,16 +751,33 @@ def gamma_solve(g: Graph, cfg: SolverConfig | None = None) -> SolveResult:
 
 def addition_dominates_within(g: Graph, size: int) -> Callable[[int, int], bool]:
     """A predicate on the non-edges uv of g: True iff G + uv has a dominating
-    set of at most ``size`` vertices holding exactly one of u and v.  Each
-    orientation, a in and b out, is one exact first-hit search on g, with no
-    node limit, and all of them share one search.  G + ab differs from g in
-    rows a and b only: row a gains b, which the query counts as covered, and
-    row b is never read, since b is out."""
+    set of at most ``size`` vertices holding exactly one of u and v.
+
+    Fix an orientation, a in and b out.  G + ab differs from g in rows a
+    and b only: row a gains b, whom a then dominates, and row b is never
+    read, since b is out.  So S dominates G + ab exactly when it holds a,
+    avoids b and dominates V - b in g.  One first-hit search per vertex b,
+    b pinned out and counted as covered, asks for such an S whatever a is;
+    it runs once, when b's first orientation is asked, and its verdict is
+    kept.  Refuted, it settles every orientation (., b) false.  When it
+    hits, its set S settles (a, b) true for every a in S.  Only the other
+    orientations run a pair search with a pinned in too.  Both searches are
+    exact, with no node limit, and no step assumes that ``size`` lies below
+    gamma(g), so the predicate is exact at every size.  All of them share
+    one search."""
     search = _Search(g, 0, SolveStats())
     closed = search.closed
+    found: dict[int, int | None] = {}  # b -> S, or None when refuted
 
     def one_in(a: int, b: int) -> bool:
-        return search._any_within(size, 1 << a, 1 << b, closed[a] | 1 << b, None)
+        if b not in found:
+            hit = search._any_within(size, 0, 1 << b, 1 << b, None)
+            found[b] = search.best_mask if hit else None
+        s = found[b]
+        if s is None:
+            return False
+        return bool(s >> a & 1) or search._any_within(
+            size, 1 << a, 1 << b, closed[a] | 1 << b, None)
 
     return lambda u, v: one_in(u, v) or one_in(v, u)
 

@@ -459,16 +459,22 @@ def _c_edge_add(g, cache):
     # a certified dominating set of G + uv of size <= base proves the bound
     # there, and the base certificate (base vertices, as the solve checks)
     # usually still is one; only the edges it misses are solved, so a
-    # failure reports the exact modified value
+    # failure reports the exact modified value.  The check is the
+    # definition, run on g's rows with rows u and v patched to G + uv
     cert = cache.gamma_cer_cert(g).mask
+    rows = list(g.adj)
     for u in range(g.n):
         for v in range(u + 1, g.n):
             if g.has_edge(u, v):
                 continue
-            h = g.add_edge(u, v)
-            if _certified(h, cert):
+            rows[u] ^= 1 << v
+            rows[v] ^= 1 << u
+            certified = _certified(g, cert, rows)
+            rows[u] ^= 1 << v
+            rows[v] ^= 1 << u
+            if certified:
                 continue
-            new = cache.gamma_cer(h)
+            new = cache.gamma_cer(g.add_edge(u, v))
             if new > base:
                 return _fail(edge=[u, v], base=base, modified=new)
     return _OK

@@ -250,13 +250,52 @@ def test_edge_effects_match_a_solve_sweep_on_connected_gnp():
             assert edge_effects(g, scope) == _sweep(g, scope, solve), (n, scope)
 
 
-def test_edge_effects_settle_most_pairs_of_a_gnp_without_a_solve(edge_solves):
+def test_edge_effects_settle_most_pairs_of_a_gnp_without_a_solve(edge_solves, monkeypatch):
     g = random_graph(16, 0.25, random.Random(1))
     assert is_connected(g)
     pairs = 16 * 15 // 2
+    built = []
+    for name in ("add_edge", "remove_edge"):
+        make = getattr(Graph, name)
+        monkeypatch.setattr(Graph, name, lambda h, u, v, make=make: built.append(
+            (u, v)) or make(h, u, v))
     edge_effects(g, "all-deletions")
     edge_effects(g, "all-additions")
     assert len(edge_solves) < pairs // 4  # 11 of 120: two base solves and 9 pairs
+    # a modified graph is built only to be solved
+    assert len(built) == len(edge_solves) - 2
+
+
+def test_edge_effects_query_each_vertex_once_and_a_pair_only_where_its_set_misses(
+        monkeypatch):
+    # the additions' first-hit queries: one per vertex b (b out), and one
+    # per orientation (a, b) whose vertex query found a set without a
+    from certdom import solver
+
+    g = random_graph(16, 0.25, random.Random(1))
+    calls = []
+    run = solver._Search._any_within
+
+    def recorded(search, size, in_mask, *rest):
+        hit = run(search, size, in_mask, *rest)
+        calls.append((in_mask, rest[0], search.best_mask if hit else 0))
+        return hit
+
+    monkeypatch.setattr(solver._Search, "_any_within", recorded)
+    rep = edge_effects(g, "all-additions")
+    monkeypatch.undo()
+    found = {out: best for in_mask, out, best in calls if not in_mask}
+    assert len(found) == sum(not in_mask for in_mask, *_ in calls) <= g.n
+    missing = sum(1 for u, v in (r.detail for r in rep.records)
+                  for a, b in ((u, v), (v, u)) if found.get(1 << b) and not found[1 << b] >> a & 1)
+    assert len(calls) <= g.n + missing
+    # 16 for the 91 additions, where a query per orientation ran 182
+    assert len(calls) < len(rep.records)
+
+    def solve(h):
+        return gamma_cer_solve(h, lex_min=False).value
+
+    assert rep == _sweep(g, "all-additions", solve)
 
 
 def test_edge_effects_solve_every_pair_when_gamma_is_below_gamma_cer(edge_solves):

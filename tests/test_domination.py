@@ -79,6 +79,21 @@ def test_certified_implies_dominating_exhaustive():
                     assert is_dominating(g, VertexSet(n, mask))
 
 
+def test_row_local_certification_matches_the_definition_on_the_modified_graph():
+    # every labeled graph of order <= 5, every certified set, every pair:
+    # toggling uv keeps the set certified exactly when the row test says so
+    from certdom.domination import _certified, _stays_certified
+
+    for n in range(2, 6):
+        for g in enumerate_labeled_graphs(n):
+            certified = [m for m in range(1 << n) if _certified(g, m)]
+            for u, v in combinations(range(n), 2):
+                h = g.remove_edge(u, v) if g.has_edge(u, v) else g.add_edge(u, v)
+                for m in certified:
+                    assert _stays_certified(g, m, u, v) == _stays_certified(
+                        g, m, v, u) == _certified(h, m), (g.edges(), m, u, v)
+
+
 def test_dd2_pair_examples():
     c4 = cycle_graph(4)
     pair = DD2Pair(VertexSet.of(4, [0, 2]), VertexSet.of(4, [1, 3]))

@@ -273,7 +273,7 @@ def test_modification_claims_match_an_exact_sweep():
     assert checked == 1 + 4 + 38 + 728
 
 
-def test_edge_claim_solves_only_where_the_base_certificate_fails(solves):
+def test_edge_claim_solves_only_where_the_base_certificate_fails(solves, monkeypatch):
     # C6's certificate {0, 3} stays certified under every added edge
     assert _outcome(cycle_graph(6), "THM6.2") == (True, True, None)
     assert solves == [(True, True)]
@@ -284,8 +284,13 @@ def test_edge_claim_solves_only_where_the_base_certificate_fails(solves):
     spider = Graph.from_edges(5, [(0, 1), (0, 3), (0, 4), (1, 2)])
     cache = SolveCache()
     assert cache.gamma_cer_cert(spider).to_list() == [0, 1, 2]
+    added = []
+    add_edge = Graph.add_edge
+    monkeypatch.setattr(Graph, "add_edge", lambda h, u, v: added.append((u, v)) or add_edge(h, u, v))
     assert _outcome(spider, "THM6.2", cache) == (True, True, None)
     assert len(solves) == 1 + 4
+    # the certificate is checked on patched rows; only solved graphs are built
+    assert added == [(1, 3), (1, 4), (2, 3), (2, 4)]
 
 
 def test_edge_claim_failure_reports_the_exact_modified_value():
