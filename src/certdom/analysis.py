@@ -209,30 +209,20 @@ def edge_effects(
     below = addition_dominates_within(g, base - 1)
     records = []
     for u, v in pairs:
-        if g.has_edge(u, v):
-            # gamma(G) <= gamma(G - uv) <= gamma_cer(G - uv) <= |D|
-            settled = tight and _stays_certified(g, cert, u, v)
-            new = (base if settled
-                   else gamma_cer_solve(g.remove_edge(u, v), lex_min=False).value)
-            records.append(
-                ModificationRecord("edge-del", (u, v), new, new - base)
-            )
+        present = g.has_edge(u, v)
+        # D still certified gives new <= |D|.  A deletion keeps new >=
+        # gamma(G); after an addition, a dominating set below gamma(G) holds
+        # exactly one of u and v, and the queries refute it
+        if tight and _stays_certified(g, cert, u, v) and (present or not below(u, v)):
+            new = base
         else:
-            # gamma_cer(G + uv) <= |D|; a dominating set of G + uv below
-            # gamma(G) holds exactly one of u and v, and the queries refute it
-            settled = tight and _stays_certified(g, cert, u, v) and not below(u, v)
-            new = (base if settled
-                   else gamma_cer_solve(g.add_edge(u, v), lex_min=False).value)
-            records.append(
-                ModificationRecord(
-                    "edge-add",
-                    (u, v),
-                    new,
-                    new - base,
-                    bound_applicable=connected,
-                    bound_holds=new <= base if connected else None,
-                )
-            )
+            h = g.remove_edge(u, v) if present else g.add_edge(u, v)
+            new = gamma_cer_solve(h, lex_min=False).value
+        bounded = connected and not present
+        records.append(ModificationRecord(
+            "edge-del" if present else "edge-add", (u, v), new, new - base,
+            bound_applicable=bounded, bound_holds=new <= base if bounded else None,
+        ))
     return ModificationReport(scope_name, base, tuple(records))
 
 

@@ -195,36 +195,38 @@ def _dominating_masks(g: Graph, k: int) -> Iterator[int]:
             yield mask
 
 
-def _oracle(g: Graph, certified: bool) -> SolveResult:
+def _smallest(g: Graph, keep: Callable[[int], bool], top: int | None = None) -> Iterator[int]:
+    """Masks of the dominating sets that pass ``keep``, in lexicographic order,
+    at the least size up to ``top`` (default n) that has one.  Refuses graphs
+    above ``ORACLE_BOUND_DEFAULT`` vertices."""
     if g.n > ORACLE_BOUND_DEFAULT:
-        raise SizeLimitError(f"oracle refuses n={g.n} > bound {ORACLE_BOUND_DEFAULT}")
-    for k in range(g.n + 1):
+        raise SizeLimitError(f"subset enumeration refuses n={g.n} > bound {ORACLE_BOUND_DEFAULT}")
+    for k in range(g.n + 1 if top is None else min(top, g.n) + 1):
+        found = False
         for mask in _dominating_masks(g, k):
-            if not certified or _certified(g, mask):
-                return SolveResult(k, VertexSet(g.n, mask))
-    raise AssertionError("unreachable: the full vertex set always qualifies")
+            if keep(mask):
+                found = True
+                yield mask
+        if found:
+            return
 
 
 def gamma_oracle(g: Graph) -> SolveResult:
     """Ground-truth domination number by subset enumeration."""
-    return _oracle(g, certified=False)
+    d = VertexSet(g.n, next(_smallest(g, lambda mask: True)))
+    return SolveResult(len(d), d)
 
 
 def gamma_cer_oracle(g: Graph) -> SolveResult:
     """Ground-truth certified domination number by subset enumeration."""
-    return _oracle(g, certified=True)
+    d = VertexSet(g.n, next(_smallest(g, lambda mask: _certified(g, mask))))
+    return SolveResult(len(d), d)
 
 
 def all_min_dominating_sets(g: Graph) -> list[VertexSet]:
     """Every minimum dominating set, in lexicographic order: the whole first
     size that has a dominating set."""
-    if g.n > ORACLE_BOUND_DEFAULT:
-        raise SizeLimitError(f"enumeration refuses n={g.n} > bound {ORACLE_BOUND_DEFAULT}")
-    for k in range(g.n + 1):
-        sets = [VertexSet(g.n, mask) for mask in _dominating_masks(g, k)]
-        if sets:
-            return sets
-    raise AssertionError("unreachable: the full vertex set always dominates")
+    return [VertexSet(g.n, mask) for mask in _smallest(g, lambda mask: True)]
 
 
 # ---------------------------------------------------------------------------
@@ -802,35 +804,30 @@ def equality_witness_search(g: Graph, gamma: int) -> int | None:
 def find_dd2_pair(g: Graph, max_d_size: int | None = None) -> DD2Pair | None:
     """A disjoint (dominating, 2-dominating) pair, minimizing |D|.
 
-    When the graph has minimum degree one or more and no weak supports, the
-    pair is built directly: a minimum certified dominating set is a minimum
-    dominating set all of whose members are illuminated, so its complement
-    2-dominates.  Otherwise dominating sets are enumerated smallest first
-    (refused above ``ORACLE_BOUND_DEFAULT`` vertices).  With ``max_d_size``
-    set, any pair with |D| <= max_d_size is returned, or None; a negative
-    bound is rejected.
+    An isolated vertex rules every pair out: D must hold it, and it has
+    no neighbour in D2.  When the graph has minimum degree one or more and
+    no weak supports, the pair is built directly: a minimum certified
+    dominating set is a minimum dominating set all of whose members are
+    illuminated, so its complement 2-dominates.  Otherwise dominating sets
+    are enumerated smallest first (refused above ``ORACLE_BOUND_DEFAULT``
+    vertices).  With ``max_d_size`` set, any pair with |D| <= max_d_size is
+    returned, or None; a negative bound is rejected.
     """
     if max_d_size is not None and max_d_size < 0:
         raise ValueError(f"max_d_size must be non-negative, got {max_d_size}")
-    n = g.n
-    if n == 0:
+    if g.n == 0:
         return DD2Pair(VertexSet(0, 0), VertexSet(0, 0))
-    if min_degree(g) >= 1 and not leaf_profile(g).weak:
+    if min_degree(g) == 0:
+        return None
+    if not leaf_profile(g).weak:
         res = gamma_cer_solve(g)
         pair = DD2Pair(res.certificate, res.certificate.complement())
         # gamma_cer_solve has checked that D dominates
         if is_2dominating(g, pair.d2):
             return None if max_d_size is not None and res.value > max_d_size else pair
-    if n > ORACLE_BOUND_DEFAULT:
-        raise SizeLimitError(
-            f"exhaustive pair search refuses n={n} > bound {ORACLE_BOUND_DEFAULT}"
-        )
-    full = g.full_mask
-    top = n if max_d_size is None else min(max_d_size, n)
-    for k in range(top + 1):
-        for mask in _dominating_masks(g, k):
-            # The complement 2-dominates iff every chosen vertex keeps at
-            # least two neighbours outside the dominating side.
-            if all((g.adj[v] & ~mask).bit_count() >= 2 for v in _bits(mask)):
-                return DD2Pair(VertexSet(n, mask), VertexSet(n, full & ~mask))
+    # The complement 2-dominates iff every chosen vertex keeps at least two
+    # neighbours outside the dominating side; the first such set is minimum.
+    for mask in _smallest(
+            g, lambda m: all((g.adj[v] & ~m).bit_count() >= 2 for v in _bits(m)), max_d_size):
+        return DD2Pair(VertexSet(g.n, mask), VertexSet(g.n, g.full_mask & ~mask))
     return None

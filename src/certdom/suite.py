@@ -204,31 +204,24 @@ def _check(cond: bool, **witness) -> tuple[bool, Optional[bool], Optional[dict]]
 # Closed-form value claims
 # ---------------------------------------------------------------------------
 
+def _value_is(g, cache, want, **extra):
+    got = cache.gamma_cer(g)
+    return _check(got == want, expected=want, got=got, **extra)
+
+
 @_claim("OBS2.1", "path value table")
 def _c_path(g, cache):
-    if not is_path(g):
-        return _NA
-    want = gamma_cer_path(g.n)
-    got = cache.gamma_cer(g)
-    return _check(got == want, expected=want, got=got)
+    return _value_is(g, cache, gamma_cer_path(g.n)) if is_path(g) else _NA
 
 
 @_claim("OBS2.2", "cycle value ceil(n/3)")
 def _c_cycle(g, cache):
-    if not is_cycle(g):
-        return _NA
-    want = gamma_cer_cycle(g.n)
-    got = cache.gamma_cer(g)
-    return _check(got == want, expected=want, got=got)
+    return _value_is(g, cache, gamma_cer_cycle(g.n)) if is_cycle(g) else _NA
 
 
 @_claim("OBS2.3", "complete-graph value table")
 def _c_complete(g, cache):
-    if g.n < 1 or not is_complete(g):
-        return _NA
-    want = gamma_cer_complete(g.n)
-    got = cache.gamma_cer(g)
-    return _check(got == want, expected=want, got=got)
+    return _value_is(g, cache, gamma_cer_complete(g.n)) if is_complete(g) else _NA
 
 
 @_claim("OBS2.4", "complete-bipartite value table")
@@ -236,18 +229,12 @@ def _c_bipartite(g, cache):
     sides = complete_bipartite_sides(g)
     if sides is None:
         return _NA
-    want = gamma_cer_complete_bipartite(*sides)
-    got = cache.gamma_cer(g)
-    return _check(got == want, expected=want, got=got, sides=list(sides))
+    return _value_is(g, cache, gamma_cer_complete_bipartite(*sides), sides=list(sides))
 
 
 @_claim("OBS2.5", "wheel value 1")
 def _c_wheel(g, cache):
-    if wheel_hub(g) is None:
-        return _NA
-    want = gamma_cer_wheel(g.n)
-    got = cache.gamma_cer(g)
-    return _check(got == want, expected=want, got=got)
+    return _value_is(g, cache, gamma_cer_wheel(g.n)) if wheel_hub(g) is not None else _NA
 
 
 @_claim("OBS2.6", "value 1 iff a universal vertex exists (n >= 3)")
@@ -338,20 +325,23 @@ def _c_bound_double(g, cache):
 # Equality with the domination number
 # ---------------------------------------------------------------------------
 
+def _equals_gamma(g, cache):
+    a, b = cache.gamma_cer(g), cache.gamma(g)
+    return _check(a == b, gamma_cer=a, gamma=b)
+
+
 @_claim("COR4.1", "no weak supports: value equals gamma")
 def _c_eq_no_weak(g, cache):
     if g.n < 1 or leaf_profile(g).weak:
         return _NA
-    a, b = cache.gamma_cer(g), cache.gamma(g)
-    return _check(a == b, gamma_cer=a, gamma=b)
+    return _equals_gamma(g, cache)
 
 
 @_claim("COR4.2", "minimum degree >= 2: value equals gamma")
 def _c_eq_min_degree(g, cache):
     if g.n < 1 or min_degree(g) < 2:
         return _NA
-    a, b = cache.gamma_cer(g), cache.gamma(g)
-    return _check(a == b, gamma_cer=a, gamma=b)
+    return _equals_gamma(g, cache)
 
 
 # the witness claims enumerate every minimum dominating set, so they only
@@ -380,8 +370,7 @@ def _c_eq_witness(g, cache):
 def _c_eq_unique(g, cache):
     if not 1 <= g.n <= _WITNESS_N_CAP or len(cache.min_dom_masks(g)) != 1:
         return _NA
-    a, b = cache.gamma_cer(g), cache.gamma(g)
-    return _check(a == b, gamma_cer=a, gamma=b)
+    return _equals_gamma(g, cache)
 
 
 # ---------------------------------------------------------------------------
@@ -404,22 +393,22 @@ def _c_diadem_value(g, cache):
     return _check(got == g.n - 2, value=got, n=g.n)
 
 
+def _predicts(predicted, actual):
+    return _check(predicted == actual, predicted=predicted, actual=actual)
+
+
 @_claim("THM5.3", "value n iff every component is an isolated vertex or a corona")
 def _c_value_n(g, cache):
     if g.n < 1:
         return _NA
-    predicted = check_gamma_cer_equals_n(g)
-    actual = cache.gamma_cer(g) == g.n
-    return _check(predicted == actual, predicted=predicted, actual=actual)
+    return _predicts(check_gamma_cer_equals_n(g), cache.gamma_cer(g) == g.n)
 
 
 @_claim("THM5.6", "value n-2 iff one triangle/4-cycle/diadem component among coronas")
 def _c_value_n_minus_2(g, cache):
     if g.n < 3:
         return _NA
-    predicted = check_gamma_cer_equals_n_minus_2(g)
-    actual = cache.gamma_cer(g) == g.n - 2
-    return _check(predicted == actual, predicted=predicted, actual=actual)
+    return _predicts(check_gamma_cer_equals_n_minus_2(g), cache.gamma_cer(g) == g.n - 2)
 
 
 # ---------------------------------------------------------------------------
@@ -530,6 +519,16 @@ def _c_ng_small(g, cache):
     return _check(pair in want, pair=list(pair), allowed=sorted(want))
 
 
+def _tight_iff(g, cache, top_sum, top_product, tight, **extra):
+    """Sum and product of the values of g and its complement are at most
+    ``top_sum`` and ``top_product``, each met exactly when ``tight``."""
+    a, b = cache.gamma_cer(g), cache.gamma_cer(cache.complement(g))
+    s, p = a + b, a * b
+    ok = (s <= top_sum and p <= top_product
+          and (s == top_sum) == tight and (p == top_product) == tight)
+    return _check(ok, sum=s, product=p, n=g.n, **extra)
+
+
 @_claim("THM7.4", "an isolated vertex on either side (n >= 3): bounds and tightness")
 def _c_ng_isolated(g, cache):
     if g.n < 3:
@@ -537,41 +536,21 @@ def _c_ng_isolated(g, cache):
     gbar = cache.complement(g)
     if min(min_degree(g), min_degree(gbar)) != 0:
         return _NA
-    a, b = cache.gamma_cer(g), cache.gamma_cer(gbar)
-    s, p = a + b, a * b
-    n = g.n
     # extremal: one side has an isolated vertex and every component of that
     # side is an isolated vertex or a corona
     structural = any(
         min_degree(h) == 0 and check_gamma_cer_equals_n(h) for h in (g, gbar)
     )
-    ok = (
-        s <= n + 1
-        and p <= n
-        and (s == n + 1) == structural
-        and (p == n) == structural
-    )
-    return _check(ok, sum=s, product=p, n=n, extremal_structure=structural)
+    return _tight_iff(g, cache, g.n + 1, g.n, structural, extremal_structure=structural)
 
 
 @_claim("THM7.5", "n >= 5: sum <= n+2 and product <= 2n, tight iff a corona side")
 def _c_ng_general(g, cache):
     if g.n < 5:
         return _NA
-    gbar = cache.complement(g)
-    a, b = cache.gamma_cer(g), cache.gamma_cer(gbar)
-    s, p = a + b, a * b
-    n = g.n
-    corona_side = (
-        recognize_corona(g) is not None or recognize_corona(gbar) is not None
-    )
-    ok = (
-        s <= n + 2
-        and p <= 2 * n
-        and (s == n + 2) == corona_side
-        and (p == 2 * n) == corona_side
-    )
-    return _check(ok, sum=s, product=p, n=n, corona_side=corona_side)
+    corona_side = (recognize_corona(g) is not None
+                   or recognize_corona(cache.complement(g)) is not None)
+    return _tight_iff(g, cache, g.n + 2, 2 * g.n, corona_side, corona_side=corona_side)
 
 
 @_claim("THM9.2", "min degree >= 1 and no weak supports: a pair with |D| = gamma exists")

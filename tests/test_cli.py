@@ -380,10 +380,9 @@ def test_solve_text_warning_holds_wherever_the_limit_hits(capsys, monkeypatch, n
 _SUITE_N5_VERBOSE_SHA256 = "64dc1c9101a8746ced7939c842db0a2c5b6fefa61fb145928a2b77881df0cc5e"
 
 
-def test_suite_verbose_output_is_byte_identical(capsys, monkeypatch):
+def test_suite_verbose_output_is_byte_identical(capsys):
     import hashlib
 
-    monkeypatch.delenv("CERTDOM_JOBS", raising=False)
     code, out, _ = run_cli(capsys, "suite", "--n-max", "5", "--verbose")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == _SUITE_N5_VERBOSE_SHA256
@@ -411,6 +410,15 @@ def test_dd2_found_human_output(capsys, monkeypatch):
 
 def test_dd2_none_json(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "dd2", "-", "--json", stdin="A_\n", monkeypatch=monkeypatch)
+    assert code == 0
+    assert json.loads(out) == {"found": False}
+
+
+def test_dd2_with_an_isolated_vertex_past_the_subset_bound(capsys, monkeypatch):
+    # P20 + K1 has no pair; the answer needs no subset walk, so n = 21 is fine
+    edges = "".join(f"{i} {i + 1}\n" for i in range(19))
+    code, out, _ = run_cli(capsys, "dd2", "-", "--json", stdin="n 21\n" + edges,
+                           monkeypatch=monkeypatch)
     assert code == 0
     assert json.loads(out) == {"found": False}
 

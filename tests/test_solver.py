@@ -997,6 +997,14 @@ def test_exhaustive_dd2_refuses_large():
         find_dd2_pair(path_graph(21))
 
 
+def test_find_dd2_pair_rules_out_an_isolated_vertex_at_any_order():
+    # P20 + K1: the isolated vertex must be in D and has no neighbour in
+    # D2, so no pair exists, and none is searched for past the bound
+    g = Graph.from_edges(21, [(i, i + 1) for i in range(19)])
+    assert find_dd2_pair(g) is None
+    assert find_dd2_pair(g, 5) is None
+
+
 def test_solver_handles_wide_bitsets():
     # multi-word masks: 130-vertex path and a 120-vertex corona
     g = path_graph(130)

@@ -7,12 +7,15 @@ import pytest
 from certdom import (
     Graph,
     VertexSet,
+    complete_bipartite_graph,
     complete_graph,
+    corona,
     cycle_graph,
     encode_graph6,
     gamma_cer_oracle,
     is_connected,
     path_graph,
+    wheel_graph,
 )
 from certdom.suite import (
     SolveCache,
@@ -310,6 +313,43 @@ def test_edge_claim_failure_reports_the_exact_modified_value():
     h = g.add_edge(0, 2)
     assert _outcome(g, "THM6.2", LowBase()) == (
         True, False, {"edge": [0, 2], "base": 1, "modified": gamma_cer_oracle(h).value})
+
+
+_K1 = complete_graph(1)
+
+
+@pytest.mark.parametrize("cid, g, raised, witness", [
+    ("OBS2.1", path_graph(4), "gamma_cer", {"expected": 4, "got": 5}),
+    ("OBS2.2", cycle_graph(5), "gamma_cer", {"expected": 2, "got": 3}),
+    ("OBS2.3", complete_graph(4), "gamma_cer", {"expected": 1, "got": 2}),
+    ("OBS2.4", complete_bipartite_graph(2, 3), "gamma_cer",
+     {"expected": 2, "got": 3, "sides": [2, 3]}),
+    ("OBS2.5", wheel_graph(6), "gamma_cer", {"expected": 1, "got": 2}),
+    ("COR4.1", cycle_graph(5), "gamma_cer", {"gamma_cer": 3, "gamma": 2}),
+    ("COR4.2", complete_graph(4), "gamma", {"gamma_cer": 1, "gamma": 2}),
+    ("COR4.5", path_graph(3), "gamma_cer", {"gamma_cer": 2, "gamma": 1}),
+    ("THM5.3", corona(path_graph(2), _K1), "gamma_cer",
+     {"predicted": True, "actual": False}),
+    ("THM5.6", cycle_graph(4), "gamma_cer", {"predicted": True, "actual": False}),
+    ("THM7.4", Graph.from_edges(3, [(0, 1)]), "gamma_cer",
+     {"sum": 5, "product": 4, "n": 3, "extremal_structure": True}),
+    ("THM7.5", corona(path_graph(3), _K1), "gamma_cer",
+     {"sum": 9, "product": 14, "n": 6, "corona_side": True}),
+])
+def test_claim_failure_witnesses_are_pinned(cid, g, raised, witness):
+    # one value of g read one too high fails the claim; its witness, keys
+    # in order, is what a failing run prints
+    class High(SolveCache):
+        def gamma_cer(self, h):
+            return super().gamma_cer(h) + (raised == "gamma_cer" and h == g)
+
+        def gamma(self, h):
+            return super().gamma(h) + (raised == "gamma" and h == g)
+
+    assert _outcome(g, cid) == (True, True, None)
+    got = _outcome(g, cid, High())
+    assert got == (True, False, witness)
+    assert list(got[2]) == list(witness)
 
 
 def test_dd2_claim_reads_the_cached_certificate(solves):
