@@ -9,15 +9,7 @@ single-vertex modifications move the value, and can replay an exhaustive
 claim suite over all small labeled graphs.
 """
 
-from .analysis import (
-    BoundReport,
-    ModificationReport,
-    NGReport,
-    bound_report,
-    edge_effects,
-    nordhaus_gaddum,
-    vertex_effects,
-)
+from .analysis import bound_report, edge_effects, nordhaus_gaddum, vertex_effects
 from .domination import (
     DD2Pair,
     VertexStatus,

@@ -1,9 +1,9 @@
 """Consolidated reports: bounds, modification effects, and complement pairs.
 
-Each report is a dataclass with a ``to_json_obj`` method producing a plain
-dict with stable key order, so reports serialize to line-oriented JSON for
-the CLI.  Every value is exact: a solve, or an upper and a lower bound that
-meet; nothing here estimates.
+Each report is a plain dict with stable key order, built as the CLI prints
+it, so reports serialize to line-oriented JSON without a conversion step.
+Every value is exact: a solve, or an upper and a lower bound that meet;
+nothing here estimates.
 No report reads a certificate, so every solve here is value-only
 (``gamma_cer_solve(..., lex_min=False)``): it skips the lex-smallest
 certificate phase, and its ``proven`` means that the value is proven.
@@ -16,7 +16,6 @@ smaller dominating set through the new edge.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .domination import _stays_certified, as_mask
@@ -25,142 +24,80 @@ from .solver import addition_dominates_within, equality_witness_search, gamma_ce
 from .structure import recognize_corona
 
 
-@dataclass(frozen=True)
-class BoundCheck:
-    name: str
-    lhs: int
-    rhs: int
-
-    @property
-    def holds(self) -> bool:
-        return self.lhs <= self.rhs
-
-    def to_json_obj(self) -> dict:
-        return {"name": self.name, "lhs": self.lhs, "rhs": self.rhs, "holds": self.holds}
+def _check(name: str, lhs: int, rhs: int) -> dict:
+    return {"name": name, "lhs": lhs, "rhs": rhs, "holds": lhs <= rhs}
 
 
-@dataclass(frozen=True)
-class BoundReport:
+def bound_report(g: Graph) -> dict:
     """Upper bounds on the certified domination number plus the equality test.
 
-    ``equality_witness`` is the lex-smallest leaf-free minimum dominating
-    set leaving, for every weak support, at least one non-leaf neighbour
-    outside the set; such a witness exists iff the domination and certified
-    domination numbers agree.  ``solver.equality_witness_search`` finds it at
-    any order, so the JSON key ``witness_searched`` is always true.
+    Every general upper bound is evaluated with exact values.  The witness
+    under ``equality_gamma`` is the lex-smallest leaf-free minimum
+    dominating set leaving, for every weak support, at least one non-leaf
+    neighbour outside the set; such a witness exists iff the domination and
+    certified domination numbers agree.  ``solver.equality_witness_search``
+    finds it at any order, so ``witness_searched`` is always true.
     """
-
-    n: int
-    gamma: int
-    gamma_cer: int
-    s1_size: int
-    s2_size: int
-    strong_support_leaf_count: int
-    bounds: tuple[BoundCheck, ...]
-    equality_holds: bool
-    equality_witness: Optional[VertexSet]
-
-    def to_json_obj(self) -> dict:
-        return {
-            "report": "bounds",
-            "n": self.n,
-            "gamma": self.gamma,
-            "gamma_cer": self.gamma_cer,
-            "s1_size": self.s1_size,
-            "s2_size": self.s2_size,
-            "strong_support_leaf_count": self.strong_support_leaf_count,
-            "bounds": [b.to_json_obj() for b in self.bounds],
-            "equality_gamma": {
-                "holds": self.equality_holds,
-                "witness": (
-                    None
-                    if self.equality_witness is None
-                    else self.equality_witness.to_list()
-                ),
-                "witness_searched": True,
-            },
-        }
-
-
-def bound_report(g: Graph) -> BoundReport:
-    """Evaluate every general upper bound with exact values."""
     res = gamma_cer_solve(g, lex_min=False)
     gamma, gamma_cer = res.gamma, res.value
     prof = leaf_profile(g)
     s1 = prof.weak.bit_count()
     s2 = prof.strong.bit_count()
     k = prof.strong_leaves.bit_count()
-    bounds = (
-        BoundCheck("gamma_le_gamma_cer", gamma, gamma_cer),
-        BoundCheck("gamma_cer_le_n", gamma_cer, g.n),
-        BoundCheck("strong_leaf_trim", gamma_cer, g.n - k),
-        BoundCheck("two_per_strong_support", gamma_cer, g.n - 2 * s2),
-        BoundCheck("gamma_plus_weak_supports", gamma_cer, gamma + s1),
-        BoundCheck("twice_gamma", gamma_cer, 2 * gamma),
-    )
     mask = equality_witness_search(g, gamma)
-    return BoundReport(
-        n=g.n,
-        gamma=gamma,
-        gamma_cer=gamma_cer,
-        s1_size=s1,
-        s2_size=s2,
-        strong_support_leaf_count=k,
-        bounds=bounds,
-        equality_holds=gamma_cer == gamma,
-        equality_witness=None if mask is None else VertexSet(g.n, mask),
-    )
+    return {
+        "report": "bounds",
+        "n": g.n,
+        "gamma": gamma,
+        "gamma_cer": gamma_cer,
+        "s1_size": s1,
+        "s2_size": s2,
+        "strong_support_leaf_count": k,
+        "bounds": [
+            _check("gamma_le_gamma_cer", gamma, gamma_cer),
+            _check("gamma_cer_le_n", gamma_cer, g.n),
+            _check("strong_leaf_trim", gamma_cer, g.n - k),
+            _check("two_per_strong_support", gamma_cer, g.n - 2 * s2),
+            _check("gamma_plus_weak_supports", gamma_cer, gamma + s1),
+            _check("twice_gamma", gamma_cer, 2 * gamma),
+        ],
+        "equality_gamma": {
+            "holds": gamma_cer == gamma,
+            "witness": None if mask is None else VertexSet(g.n, mask).to_list(),
+            "witness_searched": True,
+        },
+    }
 
 
 # ---------------------------------------------------------------------------
 # Edge / vertex modification sweeps
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ModificationRecord:
-    kind: str  # "edge-del" | "edge-add" | "vertex-del" | "vertex-add"
-    detail: tuple
-    new_value: int
-    delta: int
-    bound_applicable: bool = False
-    bound_holds: Optional[bool] = None
-
-    def to_json_obj(self) -> dict:
-        obj = {
-            "kind": self.kind,
-            "detail": list(self.detail),
-            "new_value": self.new_value,
-            "delta": self.delta,
-            "bound_applicable": self.bound_applicable,
-        }
-        if self.bound_applicable:
-            obj["bound_holds"] = self.bound_holds
-        return obj
+def _record(kind: str, detail: Iterable[int], new: int, base: int,
+            bound: Optional[bool] = None) -> dict:
+    """One modification; ``bound`` is whether its bound holds, None where
+    no bound applies."""
+    rec = {
+        "kind": kind,  # "edge-del" | "edge-add" | "vertex-del" | "vertex-add"
+        "detail": list(detail),
+        "new_value": new,
+        "delta": new - base,
+        "bound_applicable": bound is not None,
+    }
+    if bound is not None:
+        rec["bound_holds"] = bound
+    return rec
 
 
-@dataclass(frozen=True)
-class ModificationReport:
-    scope: str
-    base_value: int
-    records: tuple[ModificationRecord, ...]
-
-    def to_json_obj(self) -> dict:
-        return {
-            "report": "modifications",
-            "scope": self.scope,
-            "base_value": self.base_value,
-            "records": [r.to_json_obj() for r in self.records],
-        }
-
-    @property
-    def violations(self) -> list[ModificationRecord]:
-        return [r for r in self.records if r.bound_applicable and not r.bound_holds]
+def _report(scope: str, base: int, records: list[dict]) -> dict:
+    return {"report": "modifications", "scope": scope, "base_value": base,
+            "records": records}
 
 
 def edge_effects(
     g: Graph,
     scope: str | tuple[int, int] = "all-deletions",
-) -> ModificationReport:
+) -> dict:
     """Exact certified domination numbers of single-edge modifications.
 
     ``scope`` is "all-deletions", "all-additions", or one (u, v) pair whose
@@ -218,18 +155,18 @@ def edge_effects(
         else:
             h = g.remove_edge(u, v) if present else g.add_edge(u, v)
             new = gamma_cer_solve(h, lex_min=False).value
-        bounded = connected and not present
-        records.append(ModificationRecord(
-            "edge-del" if present else "edge-add", (u, v), new, new - base,
-            bound_applicable=bounded, bound_holds=new <= base if bounded else None,
-        ))
-    return ModificationReport(scope_name, base, tuple(records))
+        if present:
+            records.append(_record("edge-del", (u, v), new, base))
+        else:
+            records.append(_record("edge-add", (u, v), new, base,
+                                   new <= base if connected else None))
+    return _report(scope_name, base, records)
 
 
 def vertex_effects(
     g: Graph,
     scope: str | Iterable[int] = "all-deletions",
-) -> ModificationReport:
+) -> dict:
     """Exact values after deleting each vertex, or after one vertex addition.
 
     Deletions carry no bound.  An addition joined to two or more existing
@@ -238,81 +175,29 @@ def vertex_effects(
     is rejected: adding an isolated vertex just adds one to the value.
     """
     base = gamma_cer_solve(g, lex_min=False).value
-    records = []
     if isinstance(scope, str):
         if scope != "all-deletions":
             raise ValueError(f"unknown scope {scope!r}")
+        records = []
         for v in range(g.n):
             new = gamma_cer_solve(g.remove_vertex(v), lex_min=False).value
-            records.append(ModificationRecord("vertex-del", (v,), new, new - base))
-        return ModificationReport(scope, base, tuple(records))
+            records.append(_record("vertex-del", (v,), new, base))
+        return _report(scope, base, records)
     nbrs = sorted(set(scope))
-    mask = as_mask(g, nbrs)
-    if not mask:
+    if not as_mask(g, nbrs):
         raise ValueError(
             "neighbour set must be nonempty (an isolated addition is just +1)"
         )
     new = gamma_cer_solve(g.add_vertex(nbrs), lex_min=False).value
-    bounded = len(nbrs) >= 2
-    records.append(
-        ModificationRecord(
-            "vertex-add",
-            tuple(nbrs),
-            new,
-            new - base,
-            bound_applicable=bounded,
-            bound_holds=new <= base + 1 if bounded else None,
-        )
-    )
-    return ModificationReport("add", base, tuple(records))
+    bound = new <= base + 1 if len(nbrs) >= 2 else None
+    return _report("add", base, [_record("vertex-add", nbrs, new, base, bound)])
 
 
 # ---------------------------------------------------------------------------
 # Complement pairs
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class NGReport:
-    """Joint behaviour of the certified domination number on g and its complement."""
-
-    n: int
-    gcer_g: int
-    gcer_gbar: int
-    min_delta: int
-    regime: str  # "min_delta_0" | "min_delta_1" | "min_delta_ge2"
-    checks: tuple[BoundCheck, ...]
-    corona_g: bool
-    corona_gbar: bool
-    equality_regime: Optional[bool] = None
-
-    @property
-    def sum(self) -> int:
-        return self.gcer_g + self.gcer_gbar
-
-    @property
-    def product(self) -> int:
-        return self.gcer_g * self.gcer_gbar
-
-    def to_json_obj(self) -> dict:
-        obj = {
-            "report": "ng",
-            "n": self.n,
-            "gcer_g": self.gcer_g,
-            "gcer_gbar": self.gcer_gbar,
-            "sum": self.sum,
-            "product": self.product,
-            "min_delta": self.min_delta,
-            "regime": self.regime,
-            "checks": [c.to_json_obj() for c in self.checks],
-            "corona_g": self.corona_g,
-            "corona_gbar": self.corona_gbar,
-        }
-        if self.equality_regime is not None:
-            obj["extremal_pair"] = self.equality_regime
-        return obj
-
-
-def nordhaus_gaddum(g: Graph) -> NGReport:
+def nordhaus_gaddum(g: Graph) -> dict:
     """Sum/product behaviour of the value on a graph and its complement.
 
     Evaluates the bounds applicable to the minimum-degree regime: with both
@@ -320,7 +205,7 @@ def nordhaus_gaddum(g: Graph) -> NGReport:
     isolated vertex on either side and n >= 3, sum <= n + 1 and product <= n;
     for any n >= 5, sum <= n + 2 and product <= 2n, where both are tight
     exactly when one side is the corona of some graph (recorded in
-    ``extremal_pair``).
+    ``extremal_pair``, present only for n >= 5).
     """
     if g.n == 0:
         raise ValueError("complement-pair report needs at least one vertex")
@@ -328,32 +213,33 @@ def nordhaus_gaddum(g: Graph) -> NGReport:
     a = gamma_cer_solve(g, lex_min=False).value
     b = gamma_cer_solve(gbar, lex_min=False).value
     dmin = min(min_degree(g), min_degree(gbar))
-    regime = (
-        "min_delta_0" if dmin == 0 else "min_delta_1" if dmin == 1 else "min_delta_ge2"
-    )
     n = g.n
     checks = []
     if dmin >= 2:
-        checks.append(BoundCheck("sum_le_half_n_plus_2", a + b, n // 2 + 2))
-        checks.append(BoundCheck("product_le_n", a * b, n))
+        checks.append(_check("sum_le_half_n_plus_2", a + b, n // 2 + 2))
+        checks.append(_check("product_le_n", a * b, n))
     if dmin == 0 and n >= 3:
-        checks.append(BoundCheck("sum_le_n_plus_1", a + b, n + 1))
-        checks.append(BoundCheck("product_le_n", a * b, n))
+        checks.append(_check("sum_le_n_plus_1", a + b, n + 1))
+        checks.append(_check("product_le_n", a * b, n))
+    if n >= 5:
+        checks.append(_check("sum_le_n_plus_2", a + b, n + 2))
+        checks.append(_check("product_le_2n", a * b, 2 * n))
     corona_g = recognize_corona(g) is not None
     corona_gbar = recognize_corona(gbar) is not None
-    equality = None
+    rep = {
+        "report": "ng",
+        "n": n,
+        "gcer_g": a,
+        "gcer_gbar": b,
+        "sum": a + b,
+        "product": a * b,
+        "min_delta": dmin,
+        "regime": ("min_delta_0" if dmin == 0 else "min_delta_1" if dmin == 1
+                   else "min_delta_ge2"),
+        "checks": checks,
+        "corona_g": corona_g,
+        "corona_gbar": corona_gbar,
+    }
     if n >= 5:
-        checks.append(BoundCheck("sum_le_n_plus_2", a + b, n + 2))
-        checks.append(BoundCheck("product_le_2n", a * b, 2 * n))
-        equality = corona_g or corona_gbar
-    return NGReport(
-        n=n,
-        gcer_g=a,
-        gcer_gbar=b,
-        min_delta=dmin,
-        regime=regime,
-        checks=tuple(checks),
-        corona_g=corona_g,
-        corona_gbar=corona_gbar,
-        equality_regime=equality,
-    )
+        rep["extremal_pair"] = corona_g or corona_gbar
+    return rep

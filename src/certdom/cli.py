@@ -167,25 +167,28 @@ def _cmd_family(args) -> int:
 
 def _cmd_analyze(args) -> int:
     g = _load_graph(args)
+    if args.edge is not None and args.report != "edges":
+        raise ValueError("--edge applies only to --report edges")
+    if args.add_neighbours is not None and args.report != "vertices":
+        raise ValueError("--add-neighbours applies only to --report vertices")
     if args.report == "bounds":
-        _emit(bound_report(g).to_json_obj())
+        _emit(bound_report(g))
     elif args.report == "edges":
         if args.edge is not None:
             edge = _parse_vertex_list(args.edge)
             if len(edge) != 2:
                 raise ValueError(f"--edge expects two vertices U,V, got {args.edge!r}")
-            _emit(edge_effects(g, tuple(edge)).to_json_obj())
+            _emit(edge_effects(g, tuple(edge)))
         else:
-            _emit(edge_effects(g, "all-deletions").to_json_obj())
-            _emit(edge_effects(g, "all-additions").to_json_obj())
+            _emit(edge_effects(g, "all-deletions"))
+            _emit(edge_effects(g, "all-additions"))
     elif args.report == "vertices":
         if args.add_neighbours is not None:
-            nbrs = _parse_vertex_list(args.add_neighbours)
-            _emit(vertex_effects(g, nbrs).to_json_obj())
+            _emit(vertex_effects(g, _parse_vertex_list(args.add_neighbours)))
         else:
-            _emit(vertex_effects(g, "all-deletions").to_json_obj())
+            _emit(vertex_effects(g, "all-deletions"))
     else:
-        _emit(nordhaus_gaddum(g).to_json_obj())
+        _emit(nordhaus_gaddum(g))
     return 0
 
 
@@ -206,7 +209,7 @@ def _cmd_dd2(args) -> int:
 
 
 def _cmd_suite(args) -> int:
-    claims = tuple(args.claims.split(",")) if args.claims else None
+    claims = None if args.claims is None else tuple(args.claims.split(","))
     cfg = SuiteConfig(
         n_max=args.n_max,
         graph6_file=args.graph6_file,

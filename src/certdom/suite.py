@@ -147,11 +147,6 @@ class SolveCache:
             self._mds[key] = got
         return got
 
-    def known_values(self) -> Iterator[tuple[int, tuple, int]]:
-        """(order, adjacency, certified-domination value) for every solve so far."""
-        for (n, adj), (value, _, _) in self._cer.items():
-            yield n, adj, value
-
 
 @dataclass(frozen=True)
 class ClaimOutcome:

@@ -27,6 +27,16 @@ def gcer(g: cd.Graph) -> int:
     return got
 
 
+class _RecordingCache(SolveCache):
+    """A suite cache that adds every certified-domination value it reads to
+    ``_VALUES``."""
+
+    def _cer_entry(self, g: cd.Graph) -> tuple[int, int, int]:
+        got = super()._cer_entry(g)
+        _VALUES[(g.n, g.adj)] = got[0]
+        return got
+
+
 def _report(num: int, name: str, started: float) -> None:
     print(f"ACCEPTANCE {num} ({name}): PASS ({time.time() - started:.1f}s)")
 
@@ -88,7 +98,7 @@ CRITERION_3_CLAIMS = (
 
 def test_criterion_3_exhaustive_suite():
     t0 = time.time()
-    cache = SolveCache()
+    cache = _RecordingCache()
     summary = run_suite(
         SuiteConfig(n_max=6, claims=CRITERION_3_CLAIMS, jobs=1), cache=cache
     )
@@ -97,8 +107,6 @@ def test_criterion_3_exhaustive_suite():
     for cid in CRITERION_3_CLAIMS:
         assert summary.passed.get(cid, 0) == summary.applicable.get(cid, 0)
         assert summary.applicable.get(cid, 0) > 0, f"{cid} never applied"
-    for n, adj, value in cache.known_values():
-        _VALUES[(n, adj)] = value
 
     # the small-order complement tables, rederived from the oracle per graph
     for n, want in ((2, {(4, 4)}), (3, {(4, 3)}), (4, {(3, 2), (5, 4), (6, 8), (8, 16)})):

@@ -168,7 +168,7 @@ def test_analyze_vertices_deletion_sweep(capsys, monkeypatch):
         stdin=encode_graph6(g) + "\n", monkeypatch=monkeypatch,
     )
     assert code == 0
-    want = vertex_effects(g, "all-deletions").to_json_obj()
+    want = vertex_effects(g, "all-deletions")
     assert out == json.dumps(want) + "\n"
     assert want["scope"] == "all-deletions"
     assert [r["kind"] for r in want["records"]] == ["vertex-del"] * 6
@@ -281,6 +281,26 @@ def test_edge_with_three_vertices_is_usage_error(capsys, monkeypatch):
     )
     assert code == 2
     assert "--edge expects two vertices" in err and "'0,1,2'" in err
+
+
+@pytest.mark.parametrize("option, value, report, other", [
+    ("--edge", "0,1", "edges", "bounds"),
+    ("--add-neighbours", "0,1", "vertices", "ng"),
+])
+def test_an_option_of_another_report_is_usage_error(capsys, monkeypatch, option, value,
+                                                    report, other):
+    code, out, err = run_cli(
+        capsys, "analyze", "-", "--report", other, option, value,
+        stdin="Dhc\n", monkeypatch=monkeypatch,  # C5
+    )
+    assert code == 2 and out == ""
+    assert f"error: {option} applies only to --report {report}" in err
+
+
+def test_suite_empty_claim_list_is_usage_error(capsys):
+    code, out, err = run_cli(capsys, "suite", "--n-max", "2", "--claims", "")
+    assert code == 2 and out == ""
+    assert "unknown claim ids: ['']" in err
 
 
 def test_missing_file_is_usage_error(capsys):
