@@ -67,7 +67,6 @@ from .solver import (
     gamma_solve,
 )
 from .structure import (
-    StructureClass,
     check_gamma_cer_equals_n,
     check_gamma_cer_equals_n_minus_2,
     closed_form,

@@ -29,7 +29,7 @@ from .domination import (
     is_certified_dominating,
     is_dominating,
 )
-from .families import FamilySpecError, parse_family_spec
+from .families import parse_family_spec
 from .graphs import (
     _G6_HEADER,
     _G6_MAX,
@@ -42,13 +42,7 @@ from .graphs import (
     parse_edge_list,
     parse_graph6,
 )
-from .solver import (
-    SizeLimitError,
-    SolverConfig,
-    find_dd2_pair,
-    gamma_cer_solve,
-    gamma_solve,
-)
+from .solver import SolverConfig, find_dd2_pair, gamma_cer_solve, gamma_solve
 from .suite import SuiteConfig, claim_ids, run_suite
 
 
@@ -321,8 +315,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (GraphParseError, FamilySpecError, SizeLimitError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except (MemoryError, OverflowError):
+        print("error: the graph is too large for the available memory", file=sys.stderr)
         return 2
 
 

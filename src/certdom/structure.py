@@ -2,16 +2,14 @@
 
 Recognition is by direct structural test (degree profile plus neighbourhood
 shape), never by general isomorphism search: every family handled here has a
-constant-time local characterization.  ``closed_form`` states the paper's
-value tables; the solver never reads them, so the claim suite checks them
-against an independent search.  The corona and diadem recognizers and the
-value-n and value-(n-2) predictors are mask tests over ``leaf_profile``
-and build no subgraph.
+constant-time local characterization.  ``closed_form`` gives the exact value
+the paper's tables state for a recognized graph, or None; the solver never
+reads it, so the claim suite checks the tables against an independent
+search.  The corona and diadem recognizers and the value-n and value-(n-2)
+predictors are mask tests over ``leaf_profile`` and build no subgraph.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .graphs import (
     Graph,
@@ -22,17 +20,6 @@ from .graphs import (
     is_connected,
     leaf_profile,
 )
-
-
-@dataclass(frozen=True)
-class StructureClass:
-    """Recognized class with the witness data needed to rebuild the claim."""
-
-    kind: str
-    n: int = 0
-    m: int = 0
-    vertex: int | None = None
-    base: VertexSet | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -179,40 +166,30 @@ def recognize_diadem(g: Graph) -> tuple[VertexSet, int] | None:
     return None if base is None else (VertexSet(g.n, base), prof.strong.bit_length() - 1)
 
 
-def closed_form(g: Graph) -> tuple[StructureClass, int] | None:
-    """Recognized class and exact certified domination number for connected g.
+def closed_form(g: Graph) -> int | None:
+    """Exact certified domination number of g by its closed form, or None.
 
-    Overlapping classes are value-consistent; the first match in a fixed
-    priority order (universal vertex, complete, complete bipartite, path,
-    cycle, wheel, corona) is reported.
+    The first match decides, in this order: a universal vertex (n >= 3)
+    gives 1; a complete, complete bipartite, path or cycle graph its
+    ``gamma_cer_*`` value; a wheel 1; a corona n.  Overlapping classes agree
+    on the value.  None when g is empty, disconnected or matches none.
     """
     n = g.n
     if n == 0 or not is_connected(g):
         return None
-    if n >= 3:
-        v = find_universal_vertex(g)
-        if v is not None:
-            return StructureClass("universal", n=n, vertex=v), 1
+    if n >= 3 and find_universal_vertex(g) is not None:
+        return 1
     if is_complete(g):
-        return StructureClass("complete", n=n), gamma_cer_complete(n)
-    sides = complete_bipartite_sides(g)
-    if sides is not None:
-        m, nn = sides
-        return (
-            StructureClass("complete-bipartite", m=m, n=nn),
-            gamma_cer_complete_bipartite(m, nn),
-        )
+        return gamma_cer_complete(n)
+    if (sides := complete_bipartite_sides(g)) is not None:
+        return gamma_cer_complete_bipartite(*sides)
     if is_path(g):
-        return StructureClass("path", n=n), gamma_cer_path(n)
+        return gamma_cer_path(n)
     if is_cycle(g):
-        return StructureClass("cycle", n=n), gamma_cer_cycle(n)
-    hub = wheel_hub(g)
-    if hub is not None:
-        return StructureClass("wheel", n=n, vertex=hub), 1
-    base = recognize_corona(g)
-    if base is not None:
-        return StructureClass("corona", n=n, base=base), n
-    return None
+        return gamma_cer_cycle(n)
+    if wheel_hub(g) is not None:
+        return 1
+    return n if recognize_corona(g) is not None else None
 
 
 # ---------------------------------------------------------------------------

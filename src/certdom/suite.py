@@ -12,6 +12,7 @@ independent of the worker count.
 
 from __future__ import annotations
 
+import os
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -597,6 +598,9 @@ class SuiteConfig:
             unknown = [c for c in self.claims if c not in _REGISTRY]
             if unknown:
                 raise ValueError(f"unknown claim ids: {unknown}")
+            repeated = sorted({c for c in self.claims if self.claims.count(c) > 1})
+            if repeated:
+                raise ValueError(f"duplicate claim ids: {repeated}")
 
 
 @dataclass(frozen=True)
@@ -700,21 +704,23 @@ def run_suite(
 ) -> SuiteSummary:
     """Check every enumerated/loaded graph; abort on the first failure.
 
-    One loop reads the reports, made in this process when ``jobs`` is 1 and
-    by a worker pool otherwise.  Enumerated graphs are checked as they are
-    generated; a graph6 file is read whole first, so a bad record fails
-    before any check.  Reports are consumed in input order whatever the
-    worker count, so the summary and the failing graph (if any) are
-    deterministic.  ``cache`` is honoured only in single-process runs.
+    One loop reads the reports, made by a pool of ``jobs`` worker processes,
+    capped at the CPU count, or in this process when that comes to 1.
+    Enumerated graphs are checked as they are generated; a graph6 file is
+    read whole first, so a bad record fails before any check.  Reports are
+    consumed in input order whatever the worker count, so the summary and
+    the failing graph (if any) are deterministic.  ``cache`` is honoured
+    only in single-process runs.
     """
     ids = tuple(cfg.claims) if cfg.claims is not None else claim_ids()
     graphs = _suite_graphs(cfg)
     summary = SuiteSummary()
     pool = None
-    if cfg.jobs > 1:
+    jobs = min(cfg.jobs, os.cpu_count() or 1)
+    if jobs > 1:
         import multiprocessing  # only a pooled run pays for the import
 
-        pool = multiprocessing.Pool(cfg.jobs, initializer=_worker_init, initargs=(ids,))
+        pool = multiprocessing.Pool(jobs, initializer=_worker_init, initargs=(ids,))
     with pool or nullcontext():  # leaving it terminates the workers
         if pool is None:
             local = cache if cache is not None else SolveCache()

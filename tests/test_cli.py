@@ -303,6 +303,25 @@ def test_suite_empty_claim_list_is_usage_error(capsys):
     assert "unknown claim ids: ['']" in err
 
 
+def test_suite_repeated_claim_id_is_usage_error(capsys):
+    code, out, err = run_cli(capsys, "suite", "--n-max", "3", "--claims", "OBS3.1,OBS3.1")
+    assert code == 2 and out == ""
+    assert "duplicate claim ids: ['OBS3.1']" in err
+
+
+# 2**62 is refused by CPython's size check before any memory is taken, and
+# 10**23 does not fit an index; a smaller count could really allocate
+@pytest.mark.parametrize("argv, stdin", [
+    (("solve", "-"), "n 4611686018427387904\n"),
+    (("solve", "-"), "n 100000000000000000000000\n"),
+    (("family", "path 4611686018427387904"), None),
+])
+def test_vertex_count_too_large_to_allocate_is_usage_error(capsys, monkeypatch, argv, stdin):
+    code, out, err = run_cli(capsys, *argv, stdin=stdin, monkeypatch=monkeypatch)
+    assert code == 2 and out == ""
+    assert err == "error: the graph is too large for the available memory\n"
+
+
 def test_missing_file_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "solve", "/nonexistent/file.g6")
     assert code == 2

@@ -86,6 +86,11 @@ def test_run_suite_rejects_unknown_claims():
         SuiteConfig(claims=("OBS9.9",))
 
 
+def test_run_suite_rejects_duplicate_claims():
+    with pytest.raises(ValueError, match=r"duplicate claim ids: \['OBS3.1'\]"):
+        SuiteConfig(claims=("OBS3.1", "OBS2.6", "OBS3.1"))
+
+
 def test_run_suite_rejects_oversize_enumeration():
     with pytest.raises(ValueError, match="cap"):
         SuiteConfig(n_max=8)
@@ -116,6 +121,41 @@ def test_run_suite_deterministic_across_workers():
     one = run_suite(SuiteConfig(n_max=4, jobs=1))
     two = run_suite(SuiteConfig(n_max=4, jobs=2))
     assert one.to_json_obj() == two.to_json_obj()
+
+
+class _FakePool:
+    """Stands in for multiprocessing.Pool: runs the workers in this process."""
+
+    built: list = []
+
+    def __init__(self, processes, initializer, initargs):
+        self.built.append(processes)
+        initializer(*initargs)
+
+    def imap(self, fn, items, chunksize=1):
+        return map(fn, items)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+
+@pytest.mark.parametrize("cpus, jobs, pools", [(2, 10**6, [2]), (1, 4, []), (None, 4, [])])
+def test_run_suite_caps_workers_at_the_cpu_count(monkeypatch, cpus, jobs, pools):
+    import multiprocessing
+    import os
+
+    from certdom import suite as suite_mod
+
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(multiprocessing, "Pool", _FakePool)
+    monkeypatch.setattr(_FakePool, "built", [])
+    monkeypatch.setattr(suite_mod, "_worker_state", {})
+    capped = run_suite(SuiteConfig(n_max=4, jobs=jobs))
+    assert _FakePool.built == pools
+    assert capped.to_json_obj() == run_suite(SuiteConfig(n_max=4, jobs=1)).to_json_obj()
 
 
 def test_run_suite_aborts_on_first_failure(monkeypatch):
