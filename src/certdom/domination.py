@@ -44,22 +44,27 @@ def as_mask(g: Graph, s: SetLike) -> int:
 def _dominates(g: Graph, mask: int, adj: Sequence[int] | None = None) -> bool:
     """``adj``, when given, stands in for g's rows (same order)."""
     adj = g.adj if adj is None else adj
-    cover = mask
-    for v in _bits(mask):
-        cover |= adj[v]
+    cover = rest = mask
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        cover |= adj[low.bit_length() - 1]
     return cover == g.full_mask
 
 
 def _certified(g: Graph, mask: int, adj: Sequence[int] | None = None) -> bool:
     """The definition, on g's rows or on ``adj`` standing in for them."""
     adj = g.adj if adj is None else adj
-    if not _dominates(g, mask, adj):
-        return False
-    for v in _bits(mask):
-        outside = adj[v] & ~mask
+    cover = rest = mask
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        row = adj[low.bit_length() - 1]
+        cover |= row
+        outside = row & ~mask
         if outside and not outside & (outside - 1):
             return False
-    return True
+    return cover == g.full_mask
 
 
 def _stays_certified(g: Graph, mask: int, u: int, v: int) -> bool:

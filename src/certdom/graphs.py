@@ -14,6 +14,7 @@ the package's only leaf or support query.
 
 from __future__ import annotations
 
+from base64 import b64encode
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple
 
@@ -240,20 +241,20 @@ def components(g: Graph) -> tuple[tuple[VertexSet, Graph], ...]:
     memo = g._comps
     if memo is not None:
         return ((memo, g),) if isinstance(memo, VertexSet) else memo
-    seen = 0
+    adj = g.adj
     out = []
-    for v in range(g.n):
-        if seen >> v & 1:
-            continue
-        comp = 1 << v
-        frontier = comp
+    rest = g.full_mask
+    while rest:
+        comp = frontier = rest & -rest  # the lowest vertex not yet placed
         while frontier:
             nxt = 0
-            for u in _bits(frontier):
-                nxt |= g.adj[u]
+            while frontier:
+                low = frontier & -frontier
+                frontier ^= low
+                nxt |= adj[low.bit_length() - 1]
             frontier = nxt & ~comp
             comp |= frontier
-        seen |= comp
+        rest &= ~comp
         vs = VertexSet(g.n, comp)
         if comp == g.full_mask:
             object.__setattr__(g, "_comps", vs)
@@ -272,13 +273,22 @@ def induced_subgraph(g: Graph, s: VertexSet) -> Graph:
     """Subgraph induced on s, reindexed 0..|s|-1 in ascending original order."""
     if s.n != g.n:
         raise ValueError("vertex set belongs to a different graph")
-    order = s.to_list()
-    index = {v: i for i, v in enumerate(order)}
+    order = []
+    rest = s.mask
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        order.append(low.bit_length() - 1)
+    index = {v: 1 << i for i, v in enumerate(order)}
+    adj = g.adj
     rows = []
     for v in order:
         row = 0
-        for u in _bits(g.adj[v] & s.mask):
-            row |= 1 << index[u]
+        nbrs = adj[v] & s.mask
+        while nbrs:
+            low = nbrs & -nbrs
+            nbrs ^= low
+            row |= index[low.bit_length() - 1]
         rows.append(row)
     return Graph._derived(len(order), rows)
 
@@ -307,8 +317,13 @@ def leaf_profile(g: Graph) -> LeafProfile:
             leaf |= 1 << v
             twice |= once & row
             once |= row
-    strong_leaves = _mask_of(v for v in _bits(leaf) if g.adj[v] & twice)
-    prof = LeafProfile(leaf, once & ~twice, twice, strong_leaves)
+    strong_leaves = 0
+    rest = twice
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        strong_leaves |= g.adj[low.bit_length() - 1]
+    prof = LeafProfile(leaf, once & ~twice, twice, strong_leaves & leaf)
     object.__setattr__(g, "_leaves", prof)
     return prof
 
@@ -325,6 +340,10 @@ def min_degree(g: Graph) -> int:
 
 _G6_MIN, _G6_MAX = 63, 126
 _G6_HEADER = ">>graph6<<"
+_G6_FROM_B64 = bytes.maketrans(
+    b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/",
+    bytes(range(_G6_MIN, _G6_MAX + 1)),
+)
 
 
 def _pair_order(n: int) -> Iterator[tuple[int, int]]:
@@ -345,17 +364,14 @@ def encode_graph6(g: Graph) -> str:
         head = [126, 126] + [(n >> s & 63) + 63 for s in (30, 24, 18, 12, 6, 0)]
     else:
         raise ValueError("graph too large for graph6")
-    chars = [chr(c) for c in head]
-    acc, filled = 0, 0
-    for i, j in _pair_order(n):
-        acc = acc << 1 | (g.adj[i] >> j & 1)
-        filled += 1
-        if filled == 6:
-            chars.append(chr(acc + 63))
-            acc, filled = 0, 0
-    if filled:
-        chars.append(chr((acc << (6 - filled)) + 63))
-    return "".join(chars)
+    # the upper triangle column by column, row 0 first, as one bit string;
+    # whole base64 groups of 24 bits map to 4 characters, each offset by 63
+    adj = g.adj
+    bits = "".join(format(adj[j] & ((1 << j) - 1), "b").zfill(j)[::-1] for j in range(1, n))
+    bits += "0" * (-len(bits) % 24)
+    body = int(bits or "0", 2).to_bytes(len(bits) // 8, "big")
+    body = b64encode(body).translate(_G6_FROM_B64).decode("ascii")
+    return "".join(map(chr, head)) + body[:(n * (n - 1) // 2 + 5) // 6]
 
 
 def parse_graph6(text: str) -> Graph:

@@ -109,7 +109,6 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
 from functools import cache
-from heapq import heapify, heappop, heapreplace
 from itertools import combinations
 from math import lcm
 from typing import Callable, Iterator
@@ -268,7 +267,7 @@ class _Search:
     def __init__(self, g: Graph, watch: int, stats: SolveStats,
                  limit: int | None = None):
         self.adj = g.adj
-        self.closed = tuple(g.adj[v] | 1 << v for v in range(g.n))
+        self.closed = tuple([row | 1 << v for v, row in enumerate(g.adj)])
         self.full = g.full_mask
         self.watch = watch
         self.stats = stats
@@ -582,23 +581,36 @@ class _Search:
     def greedy_cover(self, out_mask: int = 0) -> int | None:
         """Greedy dominating set avoiding ``out_mask`` (largest gain first, ties
         to the lowest vertex), as a mask; None when some vertex cannot be
-        dominated.  Gains only shrink, so a lazy heap re-scores a stale top."""
+        dominated.  Gains only shrink, so a lazy bucket queue keeps each
+        allowed vertex in the mask of the gain it last scored: the lowest
+        vertex of the top bucket is re-scored, and taken when its gain still
+        matches, else moved down to the bucket of its new gain."""
         closed = self.closed
         full = self.full
-        heap = [(-closed[v].bit_count(), v) for v in _bits(full & ~out_mask)]
-        heapify(heap)
-        cover = chosen = 0
-        while cover != full:
-            if not heap or heap[0][0] == 0:
+        buckets = [0] * (full.bit_length() + 1)
+        rest = full & ~out_mask
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            buckets[closed[low.bit_length() - 1].bit_count()] |= low
+        top = len(buckets) - 1
+        todo = full  # the undominated vertices
+        chosen = 0
+        while todo:
+            while top and not buckets[top]:
+                top -= 1
+            if not top:
                 return None
-            neg_gain, v = heap[0]
-            gain = (closed[v] & ~cover).bit_count()
-            if gain == -neg_gain:
-                heappop(heap)
-                chosen |= 1 << v
-                cover |= closed[v]
+            b = buckets[top]
+            low = b & -b
+            buckets[top] = b ^ low
+            row = closed[low.bit_length() - 1]
+            gain = (row & todo).bit_count()
+            if gain == top:
+                chosen |= low
+                todo &= ~row
             else:
-                heapreplace(heap, (-gain, v))
+                buckets[gain] |= low
         return chosen
 
 
@@ -699,7 +711,7 @@ def _combine_components(g: Graph, cfg: SolverConfig, certified: bool,
     start = stats.nodes_expanded
     total = gamma = cert = 0
     proven = True
-    for (vs, _), (search, value, mask, pins, part_gamma) in zip(parts, valued):
+    for (vs, comp), (search, value, mask, pins, part_gamma) in zip(parts, valued):
         ok = value is not None
         if not ok:
             value = mask.bit_count()
@@ -711,9 +723,12 @@ def _combine_components(g: Graph, cfg: SolverConfig, certified: bool,
         total += value
         if gamma is not None:
             gamma = None if part_gamma is None else gamma + part_gamma
-        order = vs.to_list()
-        for i in _bits(mask):
-            cert |= 1 << order[i]
+        if comp is g:  # a connected graph is its own component: no remap
+            cert = mask
+        else:
+            order = vs.to_list()
+            for i in _bits(mask):
+                cert |= 1 << order[i]
         proven = proven and ok
     stats.certificate_nodes = stats.nodes_expanded - start
     return SolveResult(total, VertexSet(g.n, cert), stats, proven, gamma)

@@ -171,8 +171,8 @@ def closed_form(g: Graph) -> int | None:
 
     The first match decides, in this order: a universal vertex (n >= 3)
     gives 1; a complete, complete bipartite, path or cycle graph its
-    ``gamma_cer_*`` value; a wheel 1; a corona n.  Overlapping classes agree
-    on the value.  None when g is empty, disconnected or matches none.
+    ``gamma_cer_*`` value; a corona n.  Overlapping classes agree on the
+    value.  None when g is empty, disconnected or matches none.
     """
     n = g.n
     if n == 0 or not is_connected(g):
@@ -187,8 +187,6 @@ def closed_form(g: Graph) -> int | None:
         return gamma_cer_path(n)
     if is_cycle(g):
         return gamma_cer_cycle(n)
-    if wheel_hub(g) is not None:
-        return 1
     return n if recognize_corona(g) is not None else None
 
 

@@ -1,4 +1,5 @@
 import pickle
+import random
 import sys
 
 import pytest
@@ -25,6 +26,7 @@ from certdom.families import (
     path_graph,
 )
 from certdom.graphs import _bits
+from certdom.suite import enumerate_labeled_graphs
 
 from conftest import random_graph, relabel
 
@@ -146,6 +148,38 @@ def test_graph6_random_round_trips(rng):
         n = rng.randrange(0, 14)
         g = random_graph(n, rng.random(), rng)
         assert parse_graph6(encode_graph6(g)) == g
+
+
+def _pairwise_graph6(g):
+    """graph6 one vertex pair at a time, column by column (n < 258048)."""
+    n = g.n
+    head = [n + 63] if n <= 62 else [126, (n >> 12) + 63, (n >> 6 & 63) + 63, (n & 63) + 63]
+    chars = [chr(c) for c in head]
+    acc = filled = 0
+    for j in range(1, n):
+        for i in range(j):
+            acc = acc << 1 | (g.adj[i] >> j & 1)
+            filled += 1
+            if filled == 6:
+                chars.append(chr(acc + 63))
+                acc = filled = 0
+    if filled:
+        chars.append(chr((acc << (6 - filled)) + 63))
+    return "".join(chars)
+
+
+def test_graph6_encoder_matches_the_pairwise_encoding():
+    for n in range(7):
+        for g in enumerate_labeled_graphs(n):
+            assert encode_graph6(g) == _pairwise_graph6(g)
+    r = random.Random(20261022)
+    # across the one-byte/four-byte size header at 62/63
+    for n in (60, 61, 62, 63, 64, 65, 100, 127, 200, 300):
+        for p in (0.0, 0.05, 0.5, 1.0):
+            g = random_graph(n, p, r)
+            s = encode_graph6(g)
+            assert s == _pairwise_graph6(g), (n, p)
+            assert parse_graph6(s) == g
 
 
 def test_graph6_long_size_form():
@@ -291,6 +325,64 @@ def test_induced_subgraph_examples():
     assert induced_subgraph(path_graph(5), VertexSet.of(5, [0, 2, 4])) == empty_graph(3)
 
 
+def _neighbour_lists(g):
+    return [[u for u in range(g.n) if g.adj[v] >> u & 1] for v in range(g.n)]
+
+
+def _reference_components(g):
+    """Sorted vertex lists of the components, by a depth-first search from
+    each unplaced vertex in ascending order."""
+    nbrs = _neighbour_lists(g)
+    placed = [False] * g.n
+    parts = []
+    for s in range(g.n):
+        if placed[s]:
+            continue
+        placed[s] = True
+        stack, part = [s], []
+        while stack:
+            v = stack.pop()
+            part.append(v)
+            for u in nbrs[v]:
+                if not placed[u]:
+                    placed[u] = True
+                    stack.append(u)
+        parts.append(sorted(part))
+    return parts
+
+
+def _reference_induced_rows(g, vertices):
+    """Rows of the subgraph on the sorted list ``vertices``, pair by pair."""
+    return tuple(sum(1 << j for j, u in enumerate(vertices) if g.adj[v] >> u & 1)
+                 for v in vertices)
+
+
+def _interleaved_forests():
+    # each vertex joins an earlier one or starts a new tree, so many parts
+    # are isolated vertices, and shuffled labels interleave the parts
+    r = random.Random(20261022)
+    for _ in range(40):
+        n = r.randrange(20, 200)
+        edges = [(v, r.randrange(v)) for v in range(1, n) if r.random() < 0.6]
+        perm = list(range(n))
+        r.shuffle(perm)
+        yield Graph.from_edges(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+def test_plumbing_matches_per_vertex_references():
+    r = random.Random(33)
+    graphs = [g for n in range(7) for g in enumerate_labeled_graphs(n)]
+    for g in graphs + list(_interleaved_forests()):
+        parts = components(g)
+        want = _reference_components(g)
+        assert [vs.to_list() for vs, _ in parts] == want
+        assert [comp.adj for _, comp in parts] == [_reference_induced_rows(g, vs) for vs in want]
+        mask = r.getrandbits(g.n)
+        rows = induced_subgraph(g, VertexSet(g.n, mask)).adj
+        assert rows == _reference_induced_rows(g, [v for v in range(g.n) if mask >> v & 1])
+        assert leaf_profile(g) == _reference_leaf_profile(g)
+
+
 # ---------------------------------------------------------------------------
 # Leaves and supports
 # ---------------------------------------------------------------------------
@@ -330,26 +422,26 @@ def _with_small_parts(g: Graph, k2: bool, isolated: bool) -> Graph:
     return Graph.from_edges(n + isolated, edges)
 
 
+def _reference_leaf_profile(g):
+    """(leaves, weak, strong, strong_leaves) from the degree definitions."""
+    nbrs = _neighbour_lists(g)
+    leaf_set = [v for v in range(g.n) if len(nbrs[v]) == 1]
+    leaf_nbrs = [sum(u in leaf_set for u in nbrs[v]) for v in range(g.n)]
+    strong = [v for v in range(g.n) if leaf_nbrs[v] >= 2]
+
+    def mask(vs):
+        return sum(1 << v for v in vs)
+
+    return (mask(leaf_set), mask(v for v in range(g.n) if leaf_nbrs[v] == 1), mask(strong),
+            mask(v for v in leaf_set if nbrs[v][0] in strong))
+
+
 def test_leaf_profile_matches_degree_definitions(rng):
     for _ in range(200):
         base = random_graph(rng.randrange(0, 8), rng.choice([0.15, 0.3, 0.5]), rng)
         g = _with_small_parts(base, rng.random() < 0.4, rng.random() < 0.4)
-        n = g.n
-        deg = [sum(g.has_edge(v, u) for u in range(n)) for v in range(n)]
-        leaf_set = [v for v in range(n) if deg[v] == 1]
-        leaf_nbrs = [sum(g.has_edge(v, u) for u in leaf_set) for v in range(n)]
-
-        def mask(vs):
-            return sum(1 << v for v in vs)
-
-        strong = [v for v in range(n) if leaf_nbrs[v] >= 2]
         prof = leaf_profile(g)
-        assert prof.leaves == mask(leaf_set)
-        assert prof.weak == mask(v for v in range(n) if leaf_nbrs[v] == 1)
-        assert prof.strong == mask(strong)
-        assert prof.strong_leaves == mask(
-            v for v in leaf_set if any(g.has_edge(v, s) for s in strong)
-        )
+        assert prof == _reference_leaf_profile(g)
         assert leaf_profile(g) is prof
 
 

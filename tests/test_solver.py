@@ -186,6 +186,18 @@ def test_component_additivity_and_stats():
     assert sum(parts) == res.value
 
 
+def test_interleaved_components_map_back_to_their_labels():
+    # a star on 0, 2, 4, 6, 8 centred at 4, the path 1-3-5-7-9-11 and the
+    # isolated vertex 10: each part's certificate is remapped to g's labels
+    g = Graph.from_edges(12, [(4, 0), (4, 2), (4, 6), (4, 8),
+                              (1, 3), (3, 5), (5, 7), (7, 9), (9, 11)])
+    assert gamma_oracle(g).certificate.to_list() == [3, 4, 9, 10]
+    assert gamma_cer_oracle(g).certificate.to_list() == [3, 4, 9, 10]
+    for res in (gamma_solve(g), gamma_cer_solve(g)):
+        assert (res.value, res.certificate.to_list()) == (4, [3, 4, 9, 10])
+        assert res.stats.components_split == 3
+
+
 def test_certificate_contains_all_supports(rng):
     from certdom import leaf_profile
 
@@ -881,6 +893,52 @@ def test_greedy_cover_matches_eager_greedy(rng):
     g = Graph.from_edges(4, [(0, 1), (1, 2)])
     assert greedy(g, 0b1100) is None
     assert _eager_greedy_cover(g, 0b1100) is None
+
+
+def _heap_greedy_cover(g, out_mask):
+    # reference: a lazy heap of (-gain, v) that re-scores a stale top
+    from heapq import heapify, heappop, heapreplace
+
+    closed = [g.adj[v] | 1 << v for v in range(g.n)]
+    heap = [(-closed[v].bit_count(), v) for v in range(g.n) if not out_mask >> v & 1]
+    heapify(heap)
+    cover = chosen = 0
+    while cover != g.full_mask:
+        if not heap or heap[0][0] == 0:
+            return None
+        neg_gain, v = heap[0]
+        gain = (closed[v] & ~cover).bit_count()
+        if gain == -neg_gain:
+            heappop(heap)
+            chosen |= 1 << v
+            cover |= closed[v]
+        else:
+            heapreplace(heap, (-gain, v))
+    return chosen
+
+
+def test_greedy_cover_matches_the_lazy_heap():
+    from certdom.graphs import leaf_profile
+
+    def check(g, masks):
+        search = solver._Search(g, 0, solver.SolveStats())
+        for out_mask in masks:
+            assert search.greedy_cover(out_mask) == _heap_greedy_cover(g, out_mask), (
+                g.edges(), out_mask)
+
+    for n in range(6):
+        for g in enumerate_labeled_graphs(n):
+            check(g, range(1 << n))
+    for g in enumerate_labeled_graphs(6):
+        check(g, (0, leaf_profile(g).leaves))
+    r = random.Random(20261022)
+    for _ in range(300):
+        n = r.randrange(7, 121)
+        g = random_graph(n, r.choice([1.5 / n, 3 / n, 0.1, 0.3]), r)
+        check(g, (0, leaf_profile(g).leaves, r.getrandbits(n) & r.getrandbits(n)))
+    for n in (200, 800):
+        g = Graph.from_edges(n, [(v, r.randrange(v)) for v in range(1, n)])
+        check(g, (leaf_profile(g).leaves,))
 
 
 def test_addition_dominates_within_matches_the_subset_enumeration():

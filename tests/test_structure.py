@@ -92,6 +92,13 @@ def test_closed_form_tables():
     assert closed_form(Graph.from_edges(4, [(0, 1), (1, 2)])) is None  # disconnected
 
 
+def test_closed_form_gives_every_wheel_1():
+    # the hub is a universal vertex, so the n >= 3 branch answers every wheel
+    for n in range(4, 13):
+        assert closed_form(wheel_graph(n)) == 1
+        assert closed_form(relabel(wheel_graph(n), list(range(n))[::-1])) == 1
+
+
 def test_closed_form_matches_oracle_on_families():
     cases = []
     cases += [path_graph(n) for n in range(1, 13)]
